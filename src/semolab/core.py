@@ -169,11 +169,10 @@ class Population:
         idx = bisect_left(f1s, f1)
         if idx < m and f2s[idx] >= f2:
             if f1s[idx] == f1 and f2s[idx] == f2:
-                # equal objective value: replace the member in place
-                by_slot = self._by_slot
-                del by_slot[self.slots[idx]]
+                # equal objective value, hence the same slot: replace the
+                # member in place
                 self.xs[idx] = bits
-                by_slot[self._slot_from_pair(f1, f2)] = bits
+                self._by_slot[self.slots[idx]] = bits
                 return True
             return False  # strictly dominated by the successor
         hi = idx + 1 if idx < m and f1s[idx] == f1 else idx

@@ -91,6 +91,8 @@ class TestPopulationInsert:
         assert len(pop) == 1
         assert pop.xs == [0b10]
         assert pop.pairs() == [(3, 4)]
+        assert pop.member_at_slot(3) == 0b10
+        pop.check_invariants()
 
     def test_incomparable_coexist(self):
         pop = fresh_pop()

@@ -1,5 +1,6 @@
 """Mutation operators, parent selection, the iteration step, and full runs."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -383,6 +384,32 @@ class TestStepLoopEquivalence:
                 assert final.pop_size == res.final_pop_size
                 assert final.covered == res.final_covered
 
+    @pytest.mark.parametrize("kind,n,k", [(Kind.COCZ, 8, None),
+                                          (Kind.OMM, 9, None),
+                                          (Kind.OJZJ, 10, 2)])
+    def test_loop_trajectory_matches_step(self, kind, n, k):
+        # records are due at t=0, every period tick, every forced point,
+        # every change of the covered count and at termination
+        spec = BenchmarkSpec(kind, n, k)
+        cutoff, period, forced = 3000, 5, (3, 11, 64)
+        for variant in ("original", "modified"):
+            alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+            for seed in range(3):
+                res = run_until_cover(spec, alg, seed, sample_every=period,
+                                      sample_at=forced)
+                state = init_state(spec, alg, seed)
+                expected = [measure(state)]
+                while not state.is_covering and state.t < cutoff:
+                    covered = state.covered
+                    step(state)
+                    if (state.t % period == 0 or state.t in forced
+                            or state.covered != covered):
+                        expected.append(measure(state))
+                if expected[-1].t != state.t:
+                    expected.append(measure(state))
+                assert res.trajectory == tuple(expected)
+                assert res.runtime_evals == state.evaluations
+
     def test_loop_matches_step_censored_semo(self):
         spec = BenchmarkSpec(Kind.OJZJ, 10, 2)
         alg = AlgorithmSpec.semo(max_iterations=800)
@@ -394,6 +421,29 @@ class TestStepLoopEquivalence:
                 step(state)
             assert res.runtime_evals == state.evaluations
             assert res.censored
+
+
+# every benchmark, both start modes on ojzj, all four algorithm variants,
+# trajectories off and on; semo on ojzj and some modified runs are censored
+FINGERPRINT_CASES = [(Kind.COCZ, 16, None, False), (Kind.OMM, 15, None, False),
+                     (Kind.OJZJ, 12, 2, True), (Kind.OJZJ, 12, 2, False)]
+# sha256 of repr() of the results below, pinned to detect any change to
+# the engine's output (RNG stream, runtimes, censoring or trajectories)
+FINGERPRINT = "31e9e1ae578fcb92bdc443db0efa6bb51024c94c1c60c6df1e2a4c5ce0ee3feb"
+
+
+def test_run_until_cover_fingerprint():
+    results = []
+    for (kind, n, k, interior), alg_name, variant, record in itertools.product(
+            FINGERPRINT_CASES, ("semo", "gsemo"), ("original", "modified"),
+            (False, True)):
+        spec = BenchmarkSpec(kind, n, k)
+        alg = AlgorithmSpec.from_names(alg_name, variant, 5000)
+        for seed in range(3):
+            results.append(run_until_cover(
+                spec, alg, seed, interior_init=interior,
+                record_trajectory=record, sample_at=(1, 2, 3, 50, 777)))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == FINGERPRINT
 
 
 class TestProcessLaws:
