@@ -270,8 +270,10 @@ def cmd_report(args) -> int:
     if not os.path.exists(trials_path):
         raise CliError(f"missing {trials_path}; run the grid first")
     traj_path = os.path.join(out, TRAJECTORIES_FILE)
+    # the resolved config's interior flag covers every trial of the run
     results = load_results(trials_path,
-                           traj_path if os.path.exists(traj_path) else None)
+                           traj_path if os.path.exists(traj_path) else None,
+                           interior_init=config.interior_init)
     suites = list(args.suite or [])
     if not suites:
         suites = _auto_suites(config)

@@ -24,7 +24,10 @@ single iteration and the two are held together by an exact equivalence
 test in the suite. The loop skips work for offspring that cannot change
 the set of objective values: zero-flip copies never reach ``evaluate``,
 and weakly dominated offspring never reach ``Population.insert``. Each
-still counts as one evaluation, so both runtimes match ``step``'s.
+still counts as one evaluation, so both runtimes match ``step``'s. For the
+same reason ``measure`` runs only for records taken after an insert; a
+record between two value-set changes reuses the last measurement with
+the new ``t``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .benchmarks import BenchmarkSpec, Kind, default_max_iterations
 from .core import Individual, Population
@@ -174,15 +177,15 @@ def select_parent_slot(pop: Population, rng,
     return pop.member_at_slot(s)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """State snapshot at iteration t.
 
     ``max_g1``/``z_count`` (the best cooperative level and how many members
     attain it) are meaningful for cocz only and None otherwise. ``d_pf`` is
     the population's distance to the extremal front points. ``covered`` is
     the number of Pareto-front values present, ``front_covered`` the same
-    as a fraction of the front size.
+    as a fraction of the front size. A named tuple, because a run with
+    trajectories builds one per record.
     """
 
     t: int
@@ -341,14 +344,16 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
                     record_trajectory: bool = True,
                     sample_every: Optional[int] = None,
                     sample_at: tuple[int, ...] = (),
-                    record_slots: bool = False,
                     slot_count_offset: int = 0) -> TrialResult:
     """Run one trial until the population covers the Pareto front or the
     iteration cutoff is reached (a censored trial, flagged, not an error).
 
     Trajectory records are taken at t=0, every ``sample_every`` iterations
     (default ceil(n^2/200)), whenever the covered-front count changes, at
-    every iteration listed in ``sample_at``, and at termination.
+    every iteration listed in ``sample_at``, and at termination. Only a
+    record after an insert calls ``measure``; any other record copies the
+    previous one with the new ``t``, since ``measure`` reads nothing that
+    an equal-value replacement changes.
 
     Zero-flip copies of the parent are not passed to ``evaluate``, and
     offspring weakly dominated by a member are not passed to
@@ -369,9 +374,12 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     next_forced = forced[forced_pos] if forced_pos < n_forced else -1
 
     records: list[TrajectoryRecord] = []
+    tail = None  # fields after t of the last measurement
     if record_trajectory:
-        records.append(measure(state, record_slots))
+        records.append(measure(state))
+        tail = records[0][1:]
     last_recorded = 0
+    dirty = False  # an insert happened since the last measurement
 
     # hot loop: everything below is bound to locals on purpose, and index
     # draws inline the same getrandbits rejection scheme as _randbelow.
@@ -450,6 +458,7 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
                         by_slot[slots[idx]] = y
                 else:
                     insert(y, f1, f2)
+                    dirty = True
                     m = len(xs)
                     mbits = (m - 1).bit_length()
                     if pop.front_count != front_count:
@@ -459,8 +468,14 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
                             covered_t, covered_evals = t, evaluations
         if record_trajectory and (t % period == 0 or t == next_forced
                                   or t == front_changed_t):
-            state.t = t
-            records.append(measure(state, record_slots))
+            if dirty:
+                state.t = t
+                rec = measure(state)
+                tail = rec[1:]
+                dirty = False
+            else:
+                rec = TrajectoryRecord(t, *tail)
+            records.append(rec)
             last_recorded = t
             if t == next_forced:
                 forced_pos += 1
@@ -470,9 +485,13 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     state.t = t
     state.evaluations = evaluations
     censored = covered_t < 0
-    if record_trajectory and last_recorded != t:
-        records.append(measure(state, record_slots))
-    final = measure(state, record_slots)
+    if record_trajectory:
+        if last_recorded != t:
+            records.append(measure(state) if dirty
+                           else TrajectoryRecord(t, *tail))
+        final = records[-1]
+    else:
+        final = measure(state)
     return TrialResult(
         benchmark=bspec.kind.value,
         n=bspec.n,

@@ -652,25 +652,30 @@ def write_trials_csv(results: Sequence[TrialResult], path) -> None:
 
 
 def write_trajectories_csv(results: Sequence[TrialResult], path) -> None:
+    """One row per trajectory record, byte-identical to ``csv.writer``
+    output (CRLF line ends; no field needs quoting), formatted directly
+    because a run can hold hundreds of thousands of records."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for r in results:
             tid = trial_id(r)
-            for rec in r.trajectory:
-                writer.writerow([
-                    tid, rec.t, rec.pop_size,
-                    "" if rec.max_g1 is None else rec.max_g1,
-                    "" if rec.z_count is None else rec.z_count,
-                    rec.d_pf, repr(rec.front_covered)])
+            fh.write("".join([
+                f"{tid},{t},{pop_size},"
+                f"{'' if max_g1 is None else max_g1},"
+                f"{'' if z_count is None else z_count},"
+                f"{d_pf},{front_covered!r}\r\n"
+                for t, pop_size, max_g1, z_count, d_pf, _, front_covered, _
+                in r.trajectory]))
 
 
-def load_results(trials_path, trajectories_path=None) -> list[TrialResult]:
+def load_results(trials_path, trajectories_path=None, *,
+                 interior_init: Optional[bool] = None) -> list[TrialResult]:
     """Rebuild TrialResult objects from the CSV pipeline.
 
     The trials file is authoritative for runtimes; trajectory rows are
     joined back by trial id. The interior-initialization flag is not part
-    of the file schema and is restored as None (unknown).
+    of the file schema; every trial gets ``interior_init`` (None: unknown),
+    which the caller takes from the run's configuration.
     """
     results: list[TrialResult] = []
     with open(trials_path, newline="") as fh:
@@ -689,35 +694,39 @@ def load_results(trials_path, trajectories_path=None) -> list[TrialResult]:
                 censored=bool(int(row["censored"])),
                 final_pop_size=-1, final_covered=-1,
                 final_front_covered=float("nan"),
-                interior_init=None, trajectory=()))
+                interior_init=interior_init, trajectory=()))
     if not results:
         raise ValueError(f"{trials_path}: no data rows")
     if trajectories_path is None:
         return results
-    by_tid: dict[str, list[TrajectoryRecord]] = {}
     by_id = {trial_id(r): r for r in results}
+    # trial id -> (front size, records); the front size is computed once
+    by_tid: dict[str, tuple[int, list[TrajectoryRecord]]] = {}
     with open(trajectories_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != TRAJECTORY_COLUMNS:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != TRAJECTORY_COLUMNS:
             raise ValueError(f"{trajectories_path}: expected header "
                              f"{','.join(TRAJECTORY_COLUMNS)}")
         for row in reader:
-            tid = row["trial_id"]
-            ref = by_id.get(tid)
-            if ref is None:
-                raise ValueError(
-                    f"{trajectories_path}: unknown trial id {tid!r}")
-            front_size = BenchmarkSpec(Kind(ref.benchmark), ref.n,
-                                       ref.k).front_size
-            frac = float(row["front_covered"])
-            by_tid.setdefault(tid, []).append(TrajectoryRecord(
-                t=int(row["t"]), pop_size=int(row["pop_size"]),
-                max_g1=int(row["max_g1"]) if row["max_g1"] != "" else None,
-                z_count=int(row["z_count"]) if row["z_count"] != "" else None,
-                d_pf=int(row["d_pf"]), covered=round(frac * front_size),
-                front_covered=frac))
-    return [replace(r, trajectory=tuple(
-        sorted(by_tid.get(trial_id(r), []), key=lambda rec: rec.t)))
+            if not row:
+                continue
+            tid, t, pop_size, max_g1, z_count, d_pf, frac = row
+            entry = by_tid.get(tid)
+            if entry is None:
+                ref = by_id.get(tid)
+                if ref is None:
+                    raise ValueError(
+                        f"{trajectories_path}: unknown trial id {tid!r}")
+                entry = by_tid[tid] = (BenchmarkSpec(
+                    Kind(ref.benchmark), ref.n, ref.k).front_size, [])
+            front_size, recs = entry
+            front_covered = float(frac)
+            recs.append(TrajectoryRecord(
+                int(t), int(pop_size), int(max_g1) if max_g1 else None,
+                int(z_count) if z_count else None, int(d_pf),
+                round(front_covered * front_size), front_covered))
+    return [replace(r, trajectory=tuple(sorted(
+        by_tid.get(trial_id(r), (0, ()))[1], key=lambda rec: rec.t)))
         for r in results]
 
 

@@ -160,6 +160,31 @@ class TestReport:
         assert code == 2
         assert "no data" in capsys.readouterr().err
 
+    def semo_ojzj_run(self, tmp_path, interior):
+        out = tmp_path / f"semo-{interior}"
+        code = run_cli("run", "--benchmark", "ojzj", "--n", "10", "--k", "2",
+                       "--alg", "semo", "--trials", "3", "--seed", "2",
+                       "--interior-init", interior, "--max-iters", "400",
+                       "--out", str(out))
+        assert code == 0
+        return out
+
+    def test_semo_failure_reads_interior_flag_from_config(self, tmp_path,
+                                                          capsys):
+        out = self.semo_ojzj_run(tmp_path, "on")
+        capsys.readouterr()
+        assert run_cli("report", "--out", str(out)) == 0  # auto suite
+        text = capsys.readouterr().out
+        assert "[PASS] semo_ojzj_failure" in text
+        assert "interior flag unknown" not in text
+
+    def test_semo_failure_without_interior_start_rejected(self, tmp_path,
+                                                          capsys):
+        out = self.semo_ojzj_run(tmp_path, "off")
+        code = run_cli("report", "--out", str(out), "--suite", "semo-failure")
+        assert code == 2
+        assert "interior" in capsys.readouterr().err
+
     def test_equivalence_suite_and_negative_control(self, tmp_path, capsys):
         out = self.make_run(tmp_path)
         code = run_cli("report", "--out", str(out), "--suite", "equivalence",

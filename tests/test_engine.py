@@ -389,15 +389,23 @@ class TestStepLoopEquivalence:
                                           (Kind.OJZJ, 10, 2)])
     def test_loop_trajectory_matches_step(self, kind, n, k):
         # records are due at t=0, every period tick, every forced point,
-        # every change of the covered count and at termination
+        # every change of the covered count and at termination; the loop
+        # measures only after an insert, so runs whose population stops
+        # changing (semo started inside the ojzj gap region) check the
+        # records it copies from its last measurement, and the short
+        # schedule ends runs off the period grid right after inserts
         spec = BenchmarkSpec(kind, n, k)
-        cutoff, period, forced = 3000, 5, (3, 11, 64)
-        for variant in ("original", "modified"):
-            alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+        schedules = ((3000, 5, (3, 11, 64)), (13, 1000, (4,)))
+        starts = (False, True) if kind is Kind.OJZJ else (False,)
+        for (cutoff, period, forced), alg_name, variant, interior in \
+                itertools.product(schedules, ("semo", "gsemo"),
+                                  ("original", "modified"), starts):
+            alg = AlgorithmSpec.from_names(alg_name, variant, cutoff)
             for seed in range(3):
                 res = run_until_cover(spec, alg, seed, sample_every=period,
-                                      sample_at=forced)
-                state = init_state(spec, alg, seed)
+                                      sample_at=forced,
+                                      interior_init=interior)
+                state = init_state(spec, alg, seed, interior_init=interior)
                 expected = [measure(state)]
                 while not state.is_covering and state.t < cutoff:
                     covered = state.covered
@@ -409,6 +417,10 @@ class TestStepLoopEquivalence:
                     expected.append(measure(state))
                 assert res.trajectory == tuple(expected)
                 assert res.runtime_evals == state.evaluations
+                final = expected[-1]
+                assert (res.final_pop_size, res.final_covered,
+                        res.final_front_covered) == (
+                    final.pop_size, final.covered, final.front_covered)
 
     def test_loop_matches_step_censored_semo(self):
         spec = BenchmarkSpec(Kind.OJZJ, 10, 2)

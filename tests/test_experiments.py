@@ -1,5 +1,6 @@
 """Grid harness, scaling fits, hypothesis suites, and the CSV pipeline."""
 
+import hashlib
 import math
 
 import pytest
@@ -343,30 +344,82 @@ class TestScalingExponentGate:
         assert report.verdict == "FAIL"
 
 
+# small grids covering every trajectory column form: cocz (max_g1 and
+# z_count set), omm (both empty) and a censored ojzj semo run from the
+# interior (a frozen population, period 1)
+CSV_FINGERPRINT_GRIDS = [
+    dict(benchmark="cocz", algorithm="gsemo", variant="original", ns=(8,)),
+    dict(benchmark="cocz", algorithm="gsemo", variant="modified", ns=(8,)),
+    dict(benchmark="omm", algorithm="gsemo", variant="original", ns=(9,)),
+    dict(benchmark="omm", algorithm="gsemo", variant="modified", ns=(9,)),
+    dict(benchmark="ojzj", algorithm="semo", variant="original", ns=(10,),
+         ks=(2,), interior_init=True, max_iterations=600),
+]
+# sha256 of the trajectories.csv bytes written for the grids above, pinned
+# to detect any change to the file format or the recorded trajectories
+CSV_FINGERPRINT = ("e33647c11b63cb33a6f97a9a9f6026d4"
+                   "49a71cdfbd3f5dc2d721c63f7284c1d4")
+
+
+def write_csvs(results, directory):
+    trials = directory / "trials.csv"
+    trajs = directory / "trajectories.csv"
+    write_trials_csv(results, trials)
+    write_trajectories_csv(results, trajs)
+    return trials, trajs
+
+
 class TestCsvPipeline:
     def test_roundtrip(self, tmp_path):
-        config = ExperimentConfig("ojzj", "gsemo", "original", (8, 10), 3, 2,
-                                  ks=(2,))
-        results = run_grid(config)
-        trials = tmp_path / "trials.csv"
-        trajs = tmp_path / "trajectories.csv"
-        write_trials_csv(results, trials)
-        write_trajectories_csv(results, trajs)
-        loaded = load_results(trials, trajs)
-        assert len(loaded) == len(results)
-        for a, b in zip(results, loaded):
-            assert (a.benchmark, a.n, a.k, a.algorithm, a.variant, a.seed) \
-                == (b.benchmark, b.n, b.k, b.algorithm, b.variant, b.seed)
-            assert a.runtime_evals == b.runtime_evals
-            assert a.runtime_iters == b.runtime_iters
-            assert a.censored == b.censored
-            assert b.interior_init is None
-            assert len(a.trajectory) == len(b.trajectory)
-            for ra, rb in zip(a.trajectory, b.trajectory):
-                assert (ra.t, ra.pop_size, ra.max_g1, ra.z_count, ra.d_pf,
-                        ra.covered) == (rb.t, rb.pop_size, rb.max_g1,
-                                        rb.z_count, rb.d_pf, rb.covered)
-                assert ra.front_covered == pytest.approx(rb.front_covered)
+        for config in (
+                ExperimentConfig("ojzj", "gsemo", "original", (8, 10), 3, 2,
+                                 ks=(2,)),
+                ExperimentConfig("cocz", "gsemo", "modified", (8, 10), 3, 2),
+                ExperimentConfig("omm", "semo", "original", (9,), 3, 2)):
+            results = run_grid(config)
+            loaded = load_results(*write_csvs(results, tmp_path))
+            assert len(loaded) == len(results)
+            for a, b in zip(results, loaded):
+                assert (a.benchmark, a.n, a.k, a.algorithm, a.variant, a.seed) \
+                    == (b.benchmark, b.n, b.k, b.algorithm, b.variant, b.seed)
+                assert a.runtime_evals == b.runtime_evals
+                assert a.runtime_iters == b.runtime_iters
+                assert a.censored == b.censored
+                assert b.interior_init is None
+                assert a.trajectory  # repr floats round-trip exactly
+                assert b.trajectory == a.trajectory
+
+    def test_trajectory_csv_fingerprint(self, tmp_path):
+        results = []
+        for grid in CSV_FINGERPRINT_GRIDS:
+            results += run_grid(ExperimentConfig(trials=3, master_seed=4,
+                                                 **grid))
+        path = tmp_path / "trajectories.csv"
+        write_trajectories_csv(results, path)
+        data = path.read_bytes()
+        assert data.startswith(b"trial_id,t,pop_size,max_g1,z_count,d_pf,"
+                               b"front_covered\r\n")
+        assert hashlib.sha256(data).hexdigest() == CSV_FINGERPRINT
+
+    def omm_csvs(self, tmp_path):
+        config = ExperimentConfig("omm", "gsemo", "original", (8,), 2, 0)
+        return write_csvs(run_grid(config), tmp_path)
+
+    def test_bad_trajectory_header_rejected(self, tmp_path):
+        trials, trajs = self.omm_csvs(tmp_path)
+        trajs.write_bytes(trajs.read_bytes().replace(b"d_pf", b"dpf", 1))
+        with pytest.raises(ValueError, match="header"):
+            load_results(trials, trajs)
+        trajs.write_bytes(b"")
+        with pytest.raises(ValueError, match="header"):
+            load_results(trials, trajs)
+
+    def test_unknown_trial_id_rejected(self, tmp_path):
+        trials, trajs = self.omm_csvs(tmp_path)
+        with open(trajs, "ab") as fh:
+            fh.write(b"omm-n8-gsemo-original-s1,0,1,,,4,0.1\r\n")
+        with pytest.raises(ValueError, match="unknown trial id"):
+            load_results(trials, trajs)
 
     def test_trial_ids_unique(self):
         config = ExperimentConfig("cocz", "gsemo", "original", (8,), 5, 0)
