@@ -14,6 +14,10 @@ depend only on popcounts, so the int-level kernels work on packed bits:
   between k and n-k ones plus the two extremal strings are Pareto-optimal;
   everything else is strictly dominated by all of them.
 
+The omm and ojzj values depend on the ones count alone, so their kernels
+hold a table of the n + 1 possible pairs (``Kernels.values``), built once
+per spec from the closed form; ``evaluate`` is a popcount and a lookup.
+
 ``brute_force_front`` enumerates all 2^n points (n <= 20) and serves as
 the independent oracle for the closed-form fronts.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .core import Individual, ObjectivePair, strict_dominates
@@ -92,11 +97,13 @@ class BenchmarkSpec:
 class Kernels:
     """Closure bundle used by the run loop; all int-level, no dispatch.
 
-    ``slot_from_pair`` and ``dpf_from_slot`` exploit that the slot key is
-    recoverable from the objective pair, saving popcounts in the hot loop.
-    ``dpf`` of a member is its distance to the extremal front points:
-    min(g2, n/2 - g2) for cocz, min(ones, n - ones) otherwise, which in
-    slot terms is min(slot, slot_span - slot) for every benchmark.
+    ``slot_from_pair`` exploits that the slot key is recoverable from the
+    objective pair, saving popcounts in the hot loop. ``values`` is the
+    objective pair of every ones count 0..n for omm and ojzj, whose values
+    depend on the ones count alone; their ``evaluate`` is a lookup in it,
+    and the run loop reads it directly instead of calling ``evaluate``.
+    cocz depends on two half counts, so it has no table (``values`` is
+    None) and ``evaluate`` computes the pair.
     """
 
     evaluate: Callable[[int], tuple[int, int]]
@@ -105,13 +112,14 @@ class Kernels:
     slot_count: int
     slot_span: int
     front_size: int
-
-    def dpf_from_slot(self, slot: int) -> int:
-        return min(slot, self.slot_span - slot)
+    values: Optional[tuple[tuple[int, int], ...]]
 
 
+@lru_cache(maxsize=None)
 def _make_kernels(spec: BenchmarkSpec) -> Kernels:
+    """Kernels of one benchmark instance, built once per spec."""
     n = spec.n
+    values = None
     if spec.kind is Kind.COCZ:
         half = n // 2
         h1 = (1 << half) - 1
@@ -129,10 +137,7 @@ def _make_kernels(spec: BenchmarkSpec) -> Kernels:
             return f1 + f2 == front_sum
 
     elif spec.kind is Kind.OMM:
-
-        def evaluate(bits: int) -> tuple[int, int]:
-            ones = bits.bit_count()
-            return ones, n - ones
+        values = tuple((ones, n - ones) for ones in range(n + 1))
 
         def slot_from_pair(f1: int, f2: int) -> int:
             return f1
@@ -143,15 +148,14 @@ def _make_kernels(spec: BenchmarkSpec) -> Kernels:
     else:
         k = spec.k
         front_sum = n + 2 * k
-        all_ones = (1 << n) - 1
         upper = n - k
 
-        def evaluate(bits: int) -> tuple[int, int]:
-            ones = bits.bit_count()
-            f1 = k + ones if ones <= upper or bits == all_ones else n - ones
-            zeros = n - ones
-            f2 = k + zeros if zeros <= upper or bits == 0 else n - zeros
-            return f1, f2
+        def jump(ones: int) -> int:
+            # k + ones outside the gap; the all-ones string (ones = n) is
+            # the jump's optimum, not a gap point
+            return k + ones if ones <= upper or ones == n else n - ones
+
+        values = tuple((jump(ones), jump(n - ones)) for ones in range(n + 1))
 
         def slot_from_pair(f1: int, f2: int) -> int:
             # on-front f1 = k + ones >= k; in-gap f1 = n - ones <= k - 1
@@ -160,12 +164,17 @@ def _make_kernels(spec: BenchmarkSpec) -> Kernels:
         def is_front_pair(f1: int, f2: int) -> bool:
             return f1 + f2 == front_sum
 
+    if values is not None:
+        def evaluate(bits: int) -> tuple[int, int]:
+            return values[bits.bit_count()]
+
     return Kernels(evaluate=evaluate,
                    slot_from_pair=slot_from_pair,
                    is_front_pair=is_front_pair,
                    slot_count=spec.slot_count,
                    slot_span=spec.slot_span,
-                   front_size=spec.front_size)
+                   front_size=spec.front_size,
+                   values=values)
 
 
 def eval_cocz(x: Individual) -> ObjectivePair:

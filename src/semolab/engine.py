@@ -21,13 +21,21 @@ only; both counters are reported.
 ``run_until_cover`` is the tuned inner loop (a run spends millions of
 iterations here); ``step`` is the readable reference implementation of a
 single iteration and the two are held together by an exact equivalence
-test in the suite. The loop skips work for offspring that cannot change
-the set of objective values: zero-flip copies never reach ``evaluate``,
-and weakly dominated offspring never reach ``Population.insert``. Each
-still counts as one evaluation, so both runtimes match ``step``'s. For the
-same reason ``measure`` runs only for records taken after an insert; a
-record between two value-set changes reuses the last measurement with
-the new ``t``.
+test in the suite. An iteration of the loop pays only for what it draws:
+
+* Zero-flip copies stop after their draws, omm and ojzj offspring read
+  their objective pair from the per-spec table ``Kernels.values`` (cocz
+  calls ``evaluate``), and weakly dominated offspring never reach
+  ``Population.insert``.
+* Only idle slot draws are counted. Every other iteration created one
+  offspring, evaluated or not, so the evaluations after t iterations are
+  t + 1 - idle and both runtimes match ``step``'s.
+* The loop runs in segments that end at the next scheduled trajectory
+  record (period tick, forced point or cutoff), so no iteration tests the
+  schedule; a record at a change of the covered count is taken in the
+  insert branch, the only place such a change can happen. ``measure``
+  runs only for records taken after an insert; a record between two
+  value-set changes reuses the last measurement with the new ``t``.
 """
 
 from __future__ import annotations
@@ -350,15 +358,21 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
 
     Trajectory records are taken at t=0, every ``sample_every`` iterations
     (default ceil(n^2/200)), whenever the covered-front count changes, at
-    every iteration listed in ``sample_at``, and at termination. Only a
-    record after an insert calls ``measure``; any other record copies the
-    previous one with the new ``t``, since ``measure`` reads nothing that
-    an equal-value replacement changes.
+    every iteration listed in ``sample_at``, and at termination. The loop
+    runs in segments that end at the next period tick, forced point or
+    cutoff, and takes the scheduled record at the segment's end; a change
+    of the covered count can only follow an insert, so its record is taken
+    right there. Only a record after an insert calls ``measure``; any other
+    record copies the previous one with the new ``t``, since ``measure``
+    reads nothing that an equal-value replacement changes.
 
-    Zero-flip copies of the parent are not passed to ``evaluate``, and
-    offspring weakly dominated by a member are not passed to
-    ``Population.insert`` (one of equal value replaces that member in
-    place). Each of them still counts as one evaluation.
+    Zero-flip copies of the parent are not evaluated, omm and ojzj values
+    are read from ``Kernels.values`` without a call, and offspring weakly
+    dominated by a member are not passed to ``Population.insert`` (one of
+    equal value replaces that member in place). Only idle draws are
+    counted: every other iteration created one offspring, so the
+    evaluations after t iterations are t + 1 - idle, as ``step`` counts
+    them.
     """
     state = init_state(bspec, alg, seed, interior_init=interior_init,
                        slot_count_offset=slot_count_offset)
@@ -366,20 +380,25 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     if max_iters is None:
         max_iters = default_max_iterations(bspec)
     period = sample_every if sample_every else default_sample_period(bspec.n)
-    forced = sorted(set(int(s) for s in sample_at))
-    forced_pos = 0
-    n_forced = len(forced)
-    while forced_pos < n_forced and forced[forced_pos] < 1:
-        forced_pos += 1  # t=0 is always recorded
-    next_forced = forced[forced_pos] if forced_pos < n_forced else -1
+    # a segment of the loop runs up to the next due record: the next
+    # period tick, forced point or the cutoff (t=0 is always recorded)
+    if record_trajectory:
+        due = iter(sorted({int(s) for s in sample_at
+                           if 0 < int(s) < max_iters}))
+        next_tick = period
+    else:
+        due = iter(())
+        next_tick = max_iters
+    next_due = next(due, max_iters)
 
     records: list[TrajectoryRecord] = []
     tail = None  # fields after t of the last measurement
     if record_trajectory:
         records.append(measure(state))
         tail = records[0][1:]
-    last_recorded = 0
     dirty = False  # an insert happened since the last measurement
+    # builds a copied record without the named tuple's Python-level __new__
+    tuple_new = tuple.__new__
 
     # hot loop: everything below is bound to locals on purpose, and index
     # draws inline the same getrandbits rejection scheme as _randbelow.
@@ -394,51 +413,58 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     by_slot = pop._by_slot
     member_at_slot = by_slot.get
     insert = pop.insert
-    evaluate = state.kernels.evaluate
+    kern = state.kernels
+    evaluate = kern.evaluate
+    values = kern.values
     getrandbits = rng.getrandbits
     random_f = rng.random
     n = state.n
     nbits = (n - 1).bit_length()
     cdf = state.flip_cdf
     one_bit = alg.mutation is Mutation.ONE_BIT
+    if not one_bit:
+        # the flip count is bisect_left(cdf, u); the first two are tested
+        # directly
+        c0, c1 = cdf[0], cdf[1]
     slot_sel = alg.selection is Selection.SLOT_PARENT
     slot_draw = state.slot_draw_count
     sbits = (slot_draw - 1).bit_length()
-    front_size = state.kernels.front_size
+    front_size = kern.front_size
     front_count = pop.front_count
-    evaluations = state.evaluations
     m = len(xs)
     mbits = (m - 1).bit_length()
     t = 0
-    front_changed_t = 0
-    covered_t = -1
-    covered_evals = -1
-    if front_count == front_size:
-        covered_t, covered_evals = 0, evaluations
+    idle = 0
+    covered = front_count == front_size
 
-    while covered_t < 0 and t < max_iters:
-        t += 1
-        if slot_sel:
-            s = getrandbits(sbits)
-            while s >= slot_draw:
+    while not covered and t < max_iters:
+        stop = next_tick if next_tick < next_due else next_due
+        for t in range(t + 1, stop + 1):
+            if slot_sel:
                 s = getrandbits(sbits)
-            parent = member_at_slot(s)  # None: an idle iteration
-        else:
-            r = getrandbits(mbits)
-            while r >= m:
+                while s >= slot_draw:
+                    s = getrandbits(sbits)
+                parent = member_at_slot(s)
+                if parent is None:
+                    idle += 1
+                    continue
+            else:
                 r = getrandbits(mbits)
-            parent = xs[r]
-        if parent is not None:
-            evaluations += 1
+                while r >= m:
+                    r = getrandbits(mbits)
+                parent = xs[r]
             if one_bit:
                 k = 1
             else:
                 u = random_f()
-                k = 0
-                while u > cdf[k]:
-                    k += 1
-            mask = 0
-            while k:
+                if u <= c0:
+                    continue  # a copy of the parent changes nothing
+                k = 1 if u <= c1 else bisect_left(cdf, u)
+            pos = getrandbits(nbits)
+            while pos >= n:
+                pos = getrandbits(nbits)
+            mask = 1 << pos
+            while k > 1:
                 pos = getrandbits(nbits)
                 while pos >= n:
                     pos = getrandbits(nbits)
@@ -446,52 +472,50 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
                 if not mask & b:
                     mask |= b
                     k -= 1
-            if mask:
-                y = parent ^ mask
-                f1, f2 = evaluate(y)
-                idx = bisect_left(f1s, f1)
-                if idx < m and f2s[idx] >= f2:
-                    # weakly dominated: dropped, or at equal value (hence
-                    # the same slot) it takes the member's place
-                    if f2s[idx] == f2 and f1s[idx] == f1:
-                        xs[idx] = y
-                        by_slot[slots[idx]] = y
-                else:
-                    insert(y, f1, f2)
-                    dirty = True
-                    m = len(xs)
-                    mbits = (m - 1).bit_length()
-                    if pop.front_count != front_count:
-                        front_count = pop.front_count
-                        front_changed_t = t
-                        if front_count == front_size:
-                            covered_t, covered_evals = t, evaluations
-        if record_trajectory and (t % period == 0 or t == next_forced
-                                  or t == front_changed_t):
-            if dirty:
-                state.t = t
-                rec = measure(state)
-                tail = rec[1:]
-                dirty = False
-            else:
-                rec = TrajectoryRecord(t, *tail)
-            records.append(rec)
-            last_recorded = t
-            if t == next_forced:
-                forced_pos += 1
-                next_forced = (forced[forced_pos]
-                               if forced_pos < n_forced else -1)
+            y = parent ^ mask
+            f1, f2 = values[y.bit_count()] if values else evaluate(y)
+            idx = bisect_left(f1s, f1)
+            if idx < m and f2s[idx] >= f2:
+                # weakly dominated: dropped, or at equal value (hence the
+                # same slot) it takes the member's place
+                if f2s[idx] == f2 and f1s[idx] == f1:
+                    xs[idx] = y
+                    by_slot[slots[idx]] = y
+                continue
+            insert(y, f1, f2)
+            dirty = True
+            m = len(xs)
+            mbits = (m - 1).bit_length()
+            if pop.front_count != front_count:
+                front_count = pop.front_count
+                if record_trajectory:
+                    state.t = t
+                    records.append(measure(state))
+                    tail = records[-1][1:]
+                    dirty = False
+                if front_count == front_size:
+                    covered = True
+                    break
+        else:
+            # the segment ran to its due record
+            if record_trajectory:
+                if records[-1][0] != t:  # not taken at a change
+                    if dirty:
+                        state.t = t
+                        rec = measure(state)
+                        tail = rec[1:]
+                        dirty = False
+                    else:
+                        rec = tuple_new(TrajectoryRecord, (t,) + tail)
+                    records.append(rec)
+                if t == next_tick:
+                    next_tick += period
+                if t == next_due:
+                    next_due = next(due, max_iters)
 
     state.t = t
-    state.evaluations = evaluations
-    censored = covered_t < 0
-    if record_trajectory:
-        if last_recorded != t:
-            records.append(measure(state) if dirty
-                           else TrajectoryRecord(t, *tail))
-        final = records[-1]
-    else:
-        final = measure(state)
+    state.evaluations = t + 1 - idle
+    final = records[-1] if record_trajectory else measure(state)
     return TrialResult(
         benchmark=bspec.kind.value,
         n=bspec.n,
@@ -499,9 +523,9 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
         algorithm=alg.algorithm_name,
         variant=alg.variant_name,
         seed=seed,
-        runtime_evals=evaluations if censored else covered_evals,
-        runtime_iters=t if censored else covered_t,
-        censored=censored,
+        runtime_evals=state.evaluations,
+        runtime_iters=t,
+        censored=not covered,
         final_pop_size=final.pop_size,
         final_covered=final.covered,
         final_front_covered=final.front_covered,

@@ -30,6 +30,8 @@ from semolab.experiments import (Checkpoint, ExperimentConfig,
                                  check_scaling_exponent,
                                  check_semo_ojzj_failure, run_grid)
 
+pytestmark = pytest.mark.acceptance
+
 
 def verdict_line(criterion, ok, detail):
     status = "PASS" if ok else "FAIL"

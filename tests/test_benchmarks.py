@@ -209,8 +209,32 @@ class TestKernels:
                              if spec.kind is Kind.COCZ else bits.bit_count())
             assert kern.slot_from_pair(f1, f2) == expected_slot
             assert kern.is_front_pair(f1, f2) == ((f1, f2) in front)
-            d = kern.dpf_from_slot(expected_slot)
-            assert d == min(expected_slot, kern.slot_span - expected_slot)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_tables_match_bitwise_definition(self, n):
+        # omm and ojzj evaluate from a per-ones-count table; check it on
+        # every string against the definitions written over the bits:
+        # OneMinMax = (|x|_1, |x|_0); OneJumpZeroJump's first objective is
+        # k + |x|_1 if |x|_1 <= n - k or x = 1^n and n - |x|_1 otherwise,
+        # its second the same over zeros
+        vectors = [[(bits >> i) & 1 for i in range(n)]
+                   for bits in range(1 << n)]
+        evaluate = BenchmarkSpec(Kind.OMM, n).kernels().evaluate
+        for bits, x in enumerate(vectors):
+            assert evaluate(bits) == (sum(x), x.count(0))
+
+        for k in range(2, n + 1):
+            evaluate = BenchmarkSpec(Kind.OJZJ, n, k).kernels().evaluate
+            for bits, x in enumerate(vectors):
+                ones, zeros = x.count(1), x.count(0)
+                f1 = k + ones if ones <= n - k or all(x) else n - ones
+                f2 = k + zeros if zeros <= n - k or not any(x) else n - zeros
+                assert evaluate(bits) == (f1, f2)
+
+    def test_kernels_built_once_per_spec(self):
+        spec = BenchmarkSpec(Kind.OJZJ, 12, 3)
+        assert spec.kernels() is BenchmarkSpec(Kind.OJZJ, 12, 3).kernels()
+        assert BenchmarkSpec(Kind.COCZ, 12).kernels().values is None
 
     def test_slot_count(self):
         assert BenchmarkSpec(Kind.COCZ, 12).slot_count == 7

@@ -393,9 +393,14 @@ class TestStepLoopEquivalence:
         # measures only after an insert, so runs whose population stops
         # changing (semo started inside the ojzj gap region) check the
         # records it copies from its last measurement, and the short
-        # schedule ends runs off the period grid right after inserts
+        # schedule ends runs off the period grid right after inserts.
+        # The loop runs in segments between due records, so the schedules
+        # also put segment edges everywhere: period 1, a forced point on a
+        # period tick and one at the cutoff, and cutoffs 0 and 1
         spec = BenchmarkSpec(kind, n, k)
-        schedules = ((3000, 5, (3, 11, 64)), (13, 1000, (4,)))
+        schedules = ((3000, 5, (3, 11, 64)), (13, 1000, (4,)),
+                     (300, 1, ()), (42, 5, (10, 42)), (0, 5, (0, 1)),
+                     (1, 1000, ()))
         starts = (False, True) if kind is Kind.OJZJ else (False,)
         for (cutoff, period, forced), alg_name, variant, interior in \
                 itertools.product(schedules, ("semo", "gsemo"),
