@@ -6,13 +6,11 @@ runtime-scaling experiments.
 """
 
 from .benchmarks import (BenchmarkSpec, Kind, ParetoFront, analytic_front,
-                         brute_force_front, eval_cocz, eval_ojzj, eval_omm,
-                         is_pareto_optimal)
+                         brute_force_front)
 from .bounds import (GeometricPhaseSet, chernoff_lower_tail,
-                     expected_cover_reference, harmonic_sum_bounds,
-                     witt_lower_tail, witt_upper_tail)
+                     harmonic_sum_bounds, witt_lower_tail, witt_upper_tail)
 from .core import (Individual, ObjectivePair, Population, incomparable,
-                   population_insert, strict_dominates, weak_dominates)
+                   strict_dominates, weak_dominates)
 from .engine import (AlgorithmSpec, Mutation, RunState, Selection,
                      TrajectoryRecord, TrialResult, init_state, measure,
                      mutate_one_bit, mutate_standard, run_until_cover,

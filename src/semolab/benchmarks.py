@@ -17,6 +17,9 @@ depend only on popcounts, so the int-level kernels work on packed bits:
 The omm and ojzj values depend on the ones count alone, so their kernels
 hold a table of the n + 1 possible pairs (``Kernels.values``), built once
 per spec from the closed form; ``evaluate`` is a popcount and a lookup.
+The cocz value depends on the ones count and the first-half count, and
+its kernels carry the first-half mask (``Kernels.half_mask``) so that the
+run loop can name an offspring's value class without knowing the formula.
 
 ``brute_force_front`` enumerates all 2^n points (n <= 20) and serves as
 the independent oracle for the closed-form fronts.
@@ -90,6 +93,7 @@ class BenchmarkSpec:
         return analytic_front(self)
 
     def is_pareto_optimal(self, pair) -> bool:
+        """Membership of an objective pair in the analytic front."""
         return self.kernels().is_front_pair(pair[0], pair[1])
 
 
@@ -104,6 +108,12 @@ class Kernels:
     and the run loop reads it directly instead of calling ``evaluate``.
     cocz depends on two half counts, so it has no table (``values`` is
     None) and ``evaluate`` computes the pair.
+
+    ``half_mask`` selects the first half of a cocz string and is 0 for omm
+    and ojzj. The ones count plus ``(bits & half_mask).bit_count() * (n +
+    1)`` is then a key of the value class of ``bits``: equal keys mean
+    equal objective pairs for every kind. The run loop keys its per-run
+    memo of offspring fates by it.
     """
 
     evaluate: Callable[[int], tuple[int, int]]
@@ -113,6 +123,7 @@ class Kernels:
     slot_span: int
     front_size: int
     values: Optional[tuple[tuple[int, int], ...]]
+    half_mask: int
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +131,7 @@ def _make_kernels(spec: BenchmarkSpec) -> Kernels:
     """Kernels of one benchmark instance, built once per spec."""
     n = spec.n
     values = None
+    h1 = 0
     if spec.kind is Kind.COCZ:
         half = n // 2
         h1 = (1 << half) - 1
@@ -174,22 +186,8 @@ def _make_kernels(spec: BenchmarkSpec) -> Kernels:
                    slot_count=spec.slot_count,
                    slot_span=spec.slot_span,
                    front_size=spec.front_size,
-                   values=values)
-
-
-def eval_cocz(x: Individual) -> ObjectivePair:
-    """CountingOnesCountingZeros value of x (requires even length)."""
-    return BenchmarkSpec(Kind.COCZ, x.n).evaluate(x)
-
-
-def eval_omm(x: Individual) -> ObjectivePair:
-    """OneMinMax value of x."""
-    return BenchmarkSpec(Kind.OMM, x.n).evaluate(x)
-
-
-def eval_ojzj(x: Individual, k: int) -> ObjectivePair:
-    """OneJumpZeroJump value of x for gap size k."""
-    return BenchmarkSpec(Kind.OJZJ, x.n, k).evaluate(x)
+                   values=values,
+                   half_mask=h1)
 
 
 @dataclass(frozen=True)
@@ -257,11 +255,6 @@ def brute_force_front(spec: BenchmarkSpec) -> ParetoFront:
     maximal = [u for u in values
                if not any(strict_dominates(v, u) for v in values)]
     return ParetoFront.from_pairs(maximal)
-
-
-def is_pareto_optimal(spec: BenchmarkSpec, pair) -> bool:
-    """Membership of an objective pair in the analytic front."""
-    return spec.is_pareto_optimal(pair)
 
 
 def default_max_iterations(spec: BenchmarkSpec,

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from scipy.integrate import quad
 
-from .benchmarks import BenchmarkSpec, Kind
+from .benchmarks import Kind
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,3 @@ def reference_model(kind: Kind, n: int, k: Optional[int] = None,
             raise ValueError("ojzj reference needs the gap size")
         return coefficient * float(n) ** (k + 1)
     return coefficient * n * n * math.log(n)
-
-
-def expected_cover_reference(spec: BenchmarkSpec,
-                             coefficient: float = 1.0) -> float:
-    """Reference curve evaluated for a benchmark instance."""
-    return reference_model(spec.kind, spec.n, spec.k, coefficient)

@@ -233,9 +233,3 @@ class Population:
             got = sum(1 for a, b in zip(self.f1s, self.f2s)
                       if self._front_pair(a, b))
             assert got == self.front_count, "front counter out of sync"
-
-
-def population_insert(pop: Population, individual: Individual,
-                      pair) -> bool:
-    """Insert an evaluated individual; see :meth:`Population.insert`."""
-    return pop.insert(individual.bits, pair[0], pair[1])

@@ -27,6 +27,16 @@ test in the suite. An iteration of the loop pays only for what it draws:
   their objective pair from the per-spec table ``Kernels.values`` (cocz
   calls ``evaluate``), and weakly dominated offspring never reach
   ``Population.insert``.
+* An offspring's fate (dropped as strictly dominated, replaces member idx
+  at equal value, or changes the value set) depends only on its objective
+  pair and the population's values, and the pair depends only on its
+  value class: the ones count, plus the first-half count times n + 1 on
+  cocz (``Kernels.half_mask``). The loop keeps a per-run memo from class
+  to fate, so ``evaluate``, the bisection and the dominance test run once
+  per class between two inserts. Only ``Population.insert`` changes the
+  values, and the memo is cleared after each; an equal-value replacement
+  changes the member's bits, not the values or their order, so the
+  memoised index stays right.
 * Only idle slot draws are counted. Every other iteration created one
   offspring, evaluated or not, so the evaluations after t iterations are
   t + 1 - idle and both runtimes match ``step``'s.
@@ -373,6 +383,14 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     counted: every other iteration created one offspring, so the
     evaluations after t iterations are t + 1 - idle, as ``step`` counts
     them.
+
+    The fate of an offspring is memoised per value class (its ones count,
+    plus its first-half count times n + 1 on cocz): -1 for dropped, the
+    member index for an equal-value replacement. A repeat of a class skips
+    the evaluation and the dominance test, and only does the replacement.
+    The memo is exact because a fate depends on nothing but the class's
+    objective pair and ``f1s``/``f2s``, which only an insert changes; it
+    is cleared after every insert and lives for one run.
     """
     state = init_state(bspec, alg, seed, interior_init=interior_init,
                        slot_count_offset=slot_count_offset)
@@ -416,9 +434,15 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     kern = state.kernels
     evaluate = kern.evaluate
     values = kern.values
+    half_mask = kern.half_mask
+    # value class -> fate of an offspring in it since the last insert:
+    # -1 dropped as strictly dominated, idx >= 0 replaces member idx
+    fates: dict[int, int] = {}
+    fate_get = fates.get
     getrandbits = rng.getrandbits
     random_f = rng.random
     n = state.n
+    n1 = n + 1
     nbits = (n - 1).bit_length()
     cdf = state.flip_cdf
     one_bit = alg.mutation is Mutation.ONE_BIT
@@ -473,7 +497,16 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
                     mask |= b
                     k -= 1
             y = parent ^ mask
-            f1, f2 = values[y.bit_count()] if values else evaluate(y)
+            key = y.bit_count()
+            if half_mask:
+                key += (y & half_mask).bit_count() * n1
+            fate = fate_get(key)
+            if fate is not None:
+                if fate >= 0:
+                    xs[fate] = y
+                    by_slot[slots[fate]] = y
+                continue
+            f1, f2 = values[key] if values else evaluate(y)
             idx = bisect_left(f1s, f1)
             if idx < m and f2s[idx] >= f2:
                 # weakly dominated: dropped, or at equal value (hence the
@@ -481,8 +514,12 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
                 if f2s[idx] == f2 and f1s[idx] == f1:
                     xs[idx] = y
                     by_slot[slots[idx]] = y
+                    fates[key] = idx
+                else:
+                    fates[key] = -1
                 continue
             insert(y, f1, f2)
+            fates.clear()
             dirty = True
             m = len(xs)
             mbits = (m - 1).bit_length()
@@ -551,8 +588,7 @@ def run_offspring_budget(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int,
         1000 * (offspring_target + 1) * state.slot_draw_count)
     slot_sel = alg.selection is Selection.SLOT_PARENT
     while state.evaluations - 1 < offspring_target:
-        if slot_sel and all(s >= state.slot_draw_count
-                            for s in state.pop.slots):
+        if slot_sel and min(state.pop.slots) >= state.slot_draw_count:
             # possible only under a broken slot_count_offset: no member is
             # reachable by any slot draw, so the run would idle forever
             raise RuntimeError(

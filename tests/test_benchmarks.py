@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from semolab.benchmarks import (BRUTE_FORCE_MAX_N, BenchmarkSpec, Kind,
                                 ParetoFront, analytic_front,
-                                brute_force_front, default_max_iterations,
-                                eval_cocz, eval_ojzj, eval_omm,
-                                is_pareto_optimal)
+                                brute_force_front, default_max_iterations)
 from semolab.core import Individual, strict_dominates
 
 
@@ -21,20 +19,22 @@ def ind(s: str) -> Individual:
 class TestEvalCocz:
     def test_all_ones(self):
         for n in (4, 8, 12):
-            assert eval_cocz(Individual.all_ones(n)) == (n, n // 2)
+            assert BenchmarkSpec(Kind.COCZ, n).evaluate(
+                Individual.all_ones(n)) == (n, n // 2)
 
     def test_first_half_ones(self):
         for n in (4, 8, 12):
             x = ind("1" * (n // 2) + "0" * (n // 2))
-            assert eval_cocz(x) == (n // 2, n)
+            assert BenchmarkSpec(Kind.COCZ, n).evaluate(x) == (n // 2, n)
 
     def test_all_zeros(self):
         for n in (4, 8, 12):
-            assert eval_cocz(Individual.all_zeros(n)) == (0, n // 2)
+            assert BenchmarkSpec(Kind.COCZ, n).evaluate(
+                Individual.all_zeros(n)) == (0, n // 2)
 
     def test_mixed(self):
         # g1 = 2, g2 = 1 at n = 6
-        assert eval_cocz(ind("110100")) == (3, 4)
+        assert BenchmarkSpec(Kind.COCZ, 6).evaluate(ind("110100")) == (3, 4)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -46,7 +46,7 @@ class TestEvalCocz:
         # f1 + f2 = n/2 + 2 * (ones in first half), for every individual
         n = 2 * half
         x = Individual(n, rnd.getrandbits(n))
-        f1, f2 = eval_cocz(x)
+        f1, f2 = BenchmarkSpec(Kind.COCZ, n).evaluate(x)
         g1 = (x.bits & ((1 << half) - 1)).bit_count()
         assert f1 + f2 == half + 2 * g1
         assert 0 <= f1 <= n and 0 <= f2 <= n
@@ -54,36 +54,41 @@ class TestEvalCocz:
 
 class TestEvalOmm:
     def test_extremes(self):
-        assert eval_omm(Individual.all_zeros(6)) == (0, 6)
-        assert eval_omm(Individual.all_ones(6)) == (6, 0)
+        spec = BenchmarkSpec(Kind.OMM, 6)
+        assert spec.evaluate(Individual.all_zeros(6)) == (0, 6)
+        assert spec.evaluate(Individual.all_ones(6)) == (6, 0)
 
     def test_popcount(self):
-        assert eval_omm(ind("110100")) == (3, 3)
+        assert BenchmarkSpec(Kind.OMM, 6).evaluate(ind("110100")) == (3, 3)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 20), st.randoms(use_true_random=False))
     def test_every_value_is_optimal(self, n, rnd):
         spec = BenchmarkSpec(Kind.OMM, n)
         x = Individual(n, rnd.getrandbits(n))
-        assert is_pareto_optimal(spec, spec.evaluate(x))
+        assert spec.is_pareto_optimal(spec.evaluate(x))
 
 
 class TestEvalOjzj:
     def test_all_ones(self):
         for n, k in [(8, 2), (10, 3)]:
-            assert eval_ojzj(Individual.all_ones(n), k) == (n + k, k)
+            assert BenchmarkSpec(Kind.OJZJ, n, k).evaluate(
+                Individual.all_ones(n)) == (n + k, k)
 
     def test_all_zeros(self):
         for n, k in [(8, 2), (10, 3)]:
-            assert eval_ojzj(Individual.all_zeros(n), k) == (k, n + k)
+            assert BenchmarkSpec(Kind.OJZJ, n, k).evaluate(
+                Individual.all_zeros(n)) == (k, n + k)
 
     def test_gap_point(self):
         # n=8, k=2, seven ones: f1 = n - |x|_1 = 1, f2 = k + |x|_0 = 3
-        assert eval_ojzj(ind("11111110"), 2) == (1, 3)
+        spec = BenchmarkSpec(Kind.OJZJ, 8, 2)
+        assert spec.evaluate(ind("11111110")) == (1, 3)
 
     def test_interior_point(self):
         # n=8, k=2, four ones: both counts within [k, n-k]
-        assert eval_ojzj(ind("11110000"), 2) == (6, 6)
+        spec = BenchmarkSpec(Kind.OJZJ, 8, 2)
+        assert spec.evaluate(ind("11110000")) == (6, 6)
 
     def test_gap_size_validation(self):
         with pytest.raises(ValueError):
@@ -173,13 +178,13 @@ class TestFronts:
 
     def test_front_membership(self):
         spec = BenchmarkSpec(Kind.COCZ, 8)
-        assert is_pareto_optimal(spec, (8, 4))   # all-ones endpoint
-        assert is_pareto_optimal(spec, (4, 8))
-        assert not is_pareto_optimal(spec, (3, 7))  # g1 < n/2
-        assert not is_pareto_optimal(spec, (0, 4))
+        assert spec.is_pareto_optimal((8, 4))   # all-ones endpoint
+        assert spec.is_pareto_optimal((4, 8))
+        assert not spec.is_pareto_optimal((3, 7))  # g1 < n/2
+        assert not spec.is_pareto_optimal((0, 4))
         ojzj = BenchmarkSpec(Kind.OJZJ, 8, 2)
-        assert not is_pareto_optimal(ojzj, (1, 3))
-        assert is_pareto_optimal(ojzj, (10, 2))
+        assert not ojzj.is_pareto_optimal((1, 3))
+        assert ojzj.is_pareto_optimal((10, 2))
 
     def test_front_csv_rows(self):
         rows = analytic_front(BenchmarkSpec(Kind.COCZ, 4)).to_csv_rows()
@@ -230,6 +235,23 @@ class TestKernels:
                 f1 = k + ones if ones <= n - k or all(x) else n - ones
                 f2 = k + zeros if zeros <= n - k or not any(x) else n - zeros
                 assert evaluate(bits) == (f1, f2)
+
+    @pytest.mark.parametrize("spec", [
+        BenchmarkSpec(Kind.COCZ, 10),
+        BenchmarkSpec(Kind.OMM, 10),
+        BenchmarkSpec(Kind.OJZJ, 10, 3),
+    ])
+    def test_value_class_key(self, spec):
+        # the run loop memoises offspring fates by this key, so equal keys
+        # must mean equal objective pairs on every string
+        kern = spec.kernels()
+        assert (kern.half_mask == 0) == (spec.kind is not Kind.COCZ)
+        pair_of_key = {}
+        for bits in range(1 << spec.n):
+            key = (bits.bit_count()
+                   + (bits & kern.half_mask).bit_count() * (spec.n + 1))
+            pair = pair_of_key.setdefault(key, kern.evaluate(bits))
+            assert pair == kern.evaluate(bits)
 
     def test_kernels_built_once_per_spec(self):
         spec = BenchmarkSpec(Kind.OJZJ, 12, 3)

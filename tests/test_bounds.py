@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from semolab.benchmarks import BenchmarkSpec, Kind
 from semolab.bounds import (GeometricPhaseSet, chernoff_lower_tail,
-                            expected_cover_reference, harmonic_sum_bounds,
-                            reference_model, witt_lower_tail, witt_upper_tail)
+                            harmonic_sum_bounds, reference_model,
+                            witt_lower_tail, witt_upper_tail)
 
 phase_sets = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=10).map(
     GeometricPhaseSet.of)
@@ -163,8 +163,9 @@ class TestReferenceModel:
         values = [reference_model(Kind.OMM, n) for n in range(4, 200, 4)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_spec_adapter(self):
+    def test_spec_fields(self):
         spec = BenchmarkSpec(Kind.OJZJ, 12, 2)
-        assert expected_cover_reference(spec, 0.05) == pytest.approx(0.05 * 12 ** 3)
+        assert reference_model(spec.kind, spec.n, spec.k, 0.05) \
+            == pytest.approx(0.05 * 12 ** 3)
         with pytest.raises(ValueError):
             reference_model(Kind.OJZJ, 12)

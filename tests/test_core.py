@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semolab.core import (Individual, ObjectivePair, Population, incomparable,
-                          population_insert, strict_dominates, weak_dominates)
+                          strict_dominates, weak_dominates)
 
 
 class TestDominance:
@@ -116,10 +116,10 @@ class TestPopulationInsert:
         assert not pop.insert(2, 2, 5)
         assert pop.pairs() == [(3, 5)]
 
-    def test_population_insert_wrapper(self):
+    def test_insert_individual_bits(self):
         pop = fresh_pop()
-        assert population_insert(pop, Individual.from_string("101"), (4, 4))
-        assert not population_insert(pop, Individual.from_string("010"), (3, 3))
+        assert pop.insert(Individual.from_string("101").bits, 4, 4)
+        assert not pop.insert(Individual.from_string("010").bits, 3, 3)
 
     def test_slot_lookup(self):
         pop = fresh_pop()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from semolab import engine
 from semolab.benchmarks import BenchmarkSpec, Kind
 from semolab.core import Individual, Population
 from semolab.engine import (AlgorithmSpec, Mutation, Selection, _flip_count_cdf,
@@ -427,6 +428,40 @@ class TestStepLoopEquivalence:
                         res.final_front_covered) == (
                     final.pop_size, final.covered, final.front_covered)
 
+    @pytest.mark.parametrize("kind,n,k,interior", [
+        (Kind.COCZ, 10, None, False), (Kind.OMM, 9, None, False),
+        (Kind.OJZJ, 10, 2, False), (Kind.OJZJ, 10, 2, True),
+        (Kind.OJZJ, 8, 3, False)])
+    def test_loop_population_matches_step(self, monkeypatch, kind, n, k,
+                                          interior):
+        # the loop settles offspring from a memo of fates that is cleared
+        # on every insert; a stale entry leaves the values right but puts
+        # bits in the wrong member or slot, so the members themselves are
+        # compared, at cutoffs inside the run as well as at its end
+        loops = []
+
+        def capture(*args, **kwargs):
+            state = init_state(*args, **kwargs)
+            loops.append(state)
+            return state
+
+        monkeypatch.setattr(engine, "init_state", capture)
+        spec = BenchmarkSpec(kind, n, k)
+        for cutoff, alg_name, variant in itertools.product(
+                (30, 300, 3000), ("semo", "gsemo"), ("original", "modified")):
+            alg = AlgorithmSpec.from_names(alg_name, variant, cutoff)
+            for seed in range(3):
+                res = run_until_cover(spec, alg, seed, interior_init=interior,
+                                      record_trajectory=False)
+                loop = loops.pop()
+                loop.pop.check_invariants()
+                state = init_state(spec, alg, seed, interior_init=interior)
+                while not state.is_covering and state.t < cutoff:
+                    step(state)
+                assert loop.t == state.t == res.runtime_iters
+                for name in ("xs", "f1s", "f2s", "slots", "_by_slot"):
+                    assert getattr(loop.pop, name) == getattr(state.pop, name)
+
     def test_loop_matches_step_censored_semo(self):
         spec = BenchmarkSpec(Kind.OJZJ, 10, 2)
         alg = AlgorithmSpec.semo(max_iterations=800)
@@ -491,6 +526,21 @@ class TestProcessLaws:
                                      3, 25)
         assert state.evaluations == 26
         assert state.t >= 25
+
+    def test_run_offspring_budget_deadlock(self):
+        # the seed-0 start at cocz n=2 has a one in the second half, so it
+        # sits in slot 1, out of reach of a draw range cut to slot 0
+        spec = BenchmarkSpec(Kind.COCZ, 2)
+        alg = AlgorithmSpec.gsemo(modified=True)
+        assert init_state(spec, alg, 0).pop.slots == [1]
+        with pytest.raises(RuntimeError, match="deadlocked"):
+            run_offspring_budget(spec, alg, 0, 10, slot_count_offset=-1)
+
+    def test_run_offspring_budget_cap(self):
+        spec = BenchmarkSpec(Kind.COCZ, 8)
+        with pytest.raises(RuntimeError, match="within 10 iterations"):
+            run_offspring_budget(spec, AlgorithmSpec.gsemo(), 3, 25,
+                                 max_iterations=10)
 
 
 class TestAlgorithmSpec:
