@@ -6,6 +6,10 @@ variables, the integral sandwich around sums of a non-increasing function,
 and the lower-tail Chernoff bound for sums of [0,1]-valued variables. All
 probabilities are computed in log space and exponentiated at the boundary
 so they stay meaningful at large deviation scales.
+
+``scipy.integrate`` is imported inside ``harmonic_sum_bounds``, its only
+user: loading it takes longer than everything else a run or a tail bound
+needs, so the other functions here must not pay for it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-from scipy.integrate import quad
 
 from .benchmarks import Kind
 
@@ -126,6 +128,7 @@ def harmonic_sum_bounds(g: Callable[[float], float], alpha: float,
                 f"integrand increases near x={x:.6g}; a non-increasing "
                 "function is required")
         prev = v
+    from scipy.integrate import quad
     lower, _ = quad(g, alpha, beta + 1.0, limit=200)
     if singular_edge or math.isinf(value(alpha - 1.0)):
         return lower, math.inf

@@ -79,6 +79,14 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
                        f"got {text!r}") from None
 
 
+def _parse_int(value, what: str) -> int:
+    """A flag value (already an int) or a config-file string."""
+    try:
+        return int(value)
+    except ValueError:
+        raise CliError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _parse_switch(text: str, what: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("on", "true", "1", "yes"):
@@ -127,10 +135,11 @@ def _resolve_run_settings(args) -> tuple[ExperimentConfig, int, str]:
     ks = _parse_int_list(str(ks_raw), "k") if ks_raw else ()
     algorithm = pick(args.alg, "alg", "gsemo")
     variant = pick(args.variant, "variant", "original")
-    trials = int(pick(args.trials, "trials", 10))
-    seed = int(pick(args.seed, "seed", 0))
+    trials = _parse_int(pick(args.trials, "trials", 10), "trials")
+    seed = _parse_int(pick(args.seed, "seed", 0), "seed")
     max_iters_raw = pick(args.max_iters, "max_iters")
-    max_iters = int(max_iters_raw) if max_iters_raw is not None else None
+    max_iters = (_parse_int(max_iters_raw, "max_iters")
+                 if max_iters_raw is not None else None)
     interior_raw = pick(args.interior_init, "interior_init", "off")
     interior = (_parse_switch(interior_raw, "interior-init")
                 if isinstance(interior_raw, str) else bool(interior_raw))
@@ -141,7 +150,7 @@ def _resolve_run_settings(args) -> tuple[ExperimentConfig, int, str]:
     if not cp_items and "checkpoint" in file_values:
         cp_items = [p for p in file_values["checkpoint"].split(";") if p]
     checkpoints = _parse_checkpoints(cp_items)
-    jobs = int(pick(args.jobs, "jobs", 1))
+    jobs = _parse_int(pick(args.jobs, "jobs", 1), "jobs")
     out = pick(args.out, "out")
     if out is None:
         raise CliError("an output directory is required (--out)")

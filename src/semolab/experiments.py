@@ -8,6 +8,12 @@ function of the configuration, independent of scheduling and cell order.
 Hypothesis suites are pure functions of a result collection (plus their
 thresholds); they never re-run simulations, and every report embeds the
 master seed and a configuration hash so its inputs can be regenerated.
+
+numpy, ``scipy.stats`` and ``multiprocessing`` are imported inside the
+functions that call them (``fit_scaling``, ``check_lower_bound_runtime``,
+``check_equivalence_modified_original`` and ``run_grid`` with jobs > 1).
+Loading them takes over ten times as long as the rest of the package,
+and most processes (a ``run``, the oracle, the tail bounds) never call them.
 """
 
 from __future__ import annotations
@@ -16,11 +22,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
 from . import calibration as cal
 from .benchmarks import BenchmarkSpec, Kind, default_max_iterations
@@ -163,6 +165,7 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> list[TrialResult]:
              for trial in range(config.trials)]
     if jobs <= 1:
         return [_run_task(t) for t in tasks]
+    from multiprocessing import Pool
     with Pool(processes=jobs) as pool:
         return pool.map(_run_task, tasks, chunksize=1)
 
@@ -175,9 +178,11 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> list[TrialResult]:
 class ScalingFit:
     """Log-log least squares of per-n medians against a model term.
 
-    ``pure_poly`` regresses log(median) on log(n); ``poly_log`` on
-    log(n^2 ln n). The exponent is the slope, the constant exp(intercept);
-    the CI comes from a trial-level bootstrap of the cell medians.
+    ``pure_poly`` regresses log(median) on log(n); ``poly_log`` on the log
+    of the series' reference growth law (``bounds.reference_model``):
+    n^2 ln n for cocz and omm, n^(k+1) for ojzj with the series' gap size.
+    The exponent is the slope, the constant exp(intercept); the CI comes
+    from a trial-level bootstrap of the cell medians.
     """
 
     model: str
@@ -203,11 +208,11 @@ def _single_series(results: Sequence[TrialResult]) -> None:
         raise ValueError(f"results mix incompatible cells: {sorted(ids)}")
 
 
-def _model_term(model: str, n: int) -> float:
+def _model_term(model: str, kind: Kind, n: int, k: Optional[int]) -> float:
     if model == "pure_poly":
         return float(n)
     if model == "poly_log":
-        return n * n * math.log(n)
+        return reference_model(kind, n, k)
     raise ValueError(f"unknown scaling model {model!r}")
 
 
@@ -216,6 +221,7 @@ def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
                 bootstrap: int = cal.BOOTSTRAP_RESAMPLES,
                 bootstrap_seed: int = 0) -> ScalingFit:
     """Fit the growth of median runtimes over the n grid."""
+    import numpy as np
     _single_series(results)
     by_n: dict[int, list[float]] = {}
     for r in results:
@@ -237,7 +243,8 @@ def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
         iqrs[n] = (float(np.quantile(finite, 0.25)),
                    float(np.quantile(finite, 0.75)))
 
-    x = np.array([math.log(_model_term(model, n)) for n in ns])
+    kind, k = Kind(results[0].benchmark), results[0].k
+    x = np.array([math.log(_model_term(model, kind, n, k)) for n in ns])
     y = np.array([math.log(medians[n]) for n in ns])
     slope, intercept = np.polyfit(x, y, 1)
     residuals = tuple(float(r) for r in (y - (slope * x + intercept)))
@@ -410,6 +417,7 @@ def check_lower_bound_runtime(results: Sequence[TrialResult],
     runtimes enter the q10 at their cutoff value (conservative) and poison
     medians (reported as failures).
     """
+    import numpy as np
     _single_series(results)
     sample = results[0]
     kind = Kind(sample.benchmark)
@@ -575,7 +583,8 @@ def check_equivalence_modified_original(
         e2 = n2 * tot / (n1 + n2)
         stat += (c1 - e1) ** 2 / e1 + (c2 - e2) ** 2 / e2
     dof = len(bins) - 1
-    p_value = float(_chi2_dist.sf(stat, dof))
+    from scipy.stats import chi2
+    p_value = float(chi2.sf(stat, dof))
     ok = p_value > p_threshold
     label = (f"{bspec.kind.value},n={bspec.n},{algorithm},"
              f"m={offspring_steps},offset={slot_count_offset}")

@@ -2,6 +2,10 @@
 
 import math
 import os
+import subprocess
+import sys
+
+import pytest
 
 from semolab.cli import main
 
@@ -69,6 +73,17 @@ class TestRun:
                        str(tmp_path / "x"))
         assert code == 2
         assert "population" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["trials", "seed", "max_iters", "jobs"])
+    def test_config_integer_error_names_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"benchmark=omm\nn=8\n{key}=abc\n")
+        code = run_cli("run", "--config", str(cfg), "--out",
+                       str(tmp_path / "x"))
+        assert code == 2
+        assert (f"error: {key} must be an integer, got 'abc'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
 
     def test_missing_required_settings(self, tmp_path, capsys):
         assert run_cli("run", "--out", str(tmp_path / "x")) == 2
@@ -230,3 +245,55 @@ class TestBounds:
     def test_usage_error_exit_code(self):
         assert run_cli("bounds") == 2
         assert run_cli("definitely-not-a-command") == 2
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+HEAVY = ("numpy", "scipy", "multiprocessing")
+
+
+def fresh_modules(code: str) -> set[str]:
+    """Modules a fresh interpreter has loaded after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    script = code + "\nimport sys\nprint('\\n'.join(sys.modules))\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          check=True, stdout=subprocess.PIPE, text=True)
+    return set(proc.stdout.split())
+
+
+class TestColdStart:
+    """Heavy libraries are imported by the functions that call them, so a
+    process that never fits, tests or integrates does not load them."""
+
+    def test_run_oracle_and_tail_bounds_load_no_heavy_library(self, tmp_path):
+        loaded = fresh_modules(f"""
+import semolab, semolab.cli
+from semolab import AlgorithmSpec, BenchmarkSpec, Kind, run_until_cover
+run_until_cover(BenchmarkSpec(Kind.COCZ, 8), AlgorithmSpec.gsemo(), 0)
+main = semolab.cli.main
+assert main(["run", "--benchmark", "cocz", "--n", "8", "--trials", "2",
+             "--record-trajectories", "off", "--out", {str(tmp_path)!r}]) == 0
+assert main(["oracle", "--benchmark", "omm", "--n", "6"]) == 0
+assert main(["bounds", "witt", "--phases", "0.5,0.5", "--lam", "4"]) == 0
+assert main(["bounds", "chernoff", "--mean", "50", "--delta", "0.5"]) == 0
+""")
+        assert "semolab.cli" in loaded
+        heavy = sorted(m for m in loaded if m.split(".")[0] in HEAVY)
+        assert heavy == []
+
+    def test_sandwich_loads_integrate_only(self):
+        loaded = fresh_modules("""
+from semolab.cli import main
+assert main(["bounds", "sandwich", "--alpha", "2", "--beta", "100"]) == 0
+""")
+        assert "scipy.integrate" in loaded
+        assert "scipy.stats" not in loaded
+
+    def test_python_dash_m(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "semolab", "bounds", "chernoff",
+             "--mean", "50", "--delta", "0.5"],
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+            text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == f"lower_tail={math.exp(-6.25):.10g}\n"

@@ -148,6 +148,16 @@ class TestFitScaling:
         assert fit.exponent == pytest.approx(3.0, abs=1e-2)
         assert fit.exponent == pytest.approx(3.0, abs=1e-9)
 
+    def test_ojzj_poly_log_uses_gap_size(self):
+        # the poly_log term of an ojzj series is n^(k+1), not n^2 ln n
+        results = [synthetic(benchmark="ojzj", k=2, n=n,
+                             runtime=5.0 * float(n) ** 3, seed=t)
+                   for n in (12, 16, 20, 24) for t in range(4)]
+        fit = fit_scaling(results, "poly_log")
+        assert fit.exponent == pytest.approx(1.0, abs=1e-9)
+        assert fit.constant == pytest.approx(5.0, abs=1e-6)
+        assert max(abs(r) for r in fit.residuals) < 1e-9
+
     def test_needs_three_points(self):
         results = [synthetic(n=n, seed=t) for n in (8, 16) for t in range(3)]
         with pytest.raises(ValueError, match=">= 3"):
