@@ -27,7 +27,6 @@ the independent oracle for the closed-form fronts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -256,14 +255,3 @@ def brute_force_front(spec: BenchmarkSpec) -> ParetoFront:
                if not any(strict_dominates(v, u) for v in values)]
     return ParetoFront.from_pairs(maximal)
 
-
-def default_max_iterations(spec: BenchmarkSpec,
-                           coefficient: float = 50.0) -> int:
-    """Iteration cutoff comfortably above the expected cover time.
-
-    Roughly ten times the known growth laws: ~n^2 log n for cocz/omm and
-    ~n^(k+1) for ojzj, scaled by ``coefficient``.
-    """
-    if spec.kind is Kind.OJZJ:
-        return int(coefficient * spec.n ** (spec.k + 1))
-    return int(coefficient * spec.n * spec.n * math.log(spec.n))

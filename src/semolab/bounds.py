@@ -136,14 +136,32 @@ def harmonic_sum_bounds(g: Callable[[float], float], alpha: float,
     return lower, upper
 
 
+def growth_law(shape: str, n: int, k: Optional[int] = None,
+               coefficient: float = 1.0) -> float:
+    """The one definition of the growth shapes that the default cutoff,
+    the suites' budgets and horizons, checkpoints and the scaling fit use:
+    "n2_log" -> c*n^2*ln(n), "n_pow_k1" -> c*n^(k+1), "n2" -> c*n^2 and
+    "const" -> c. Callers floor the value where they need an iteration.
+    """
+    if shape == "n2_log":
+        return coefficient * n * n * math.log(n)
+    if shape == "n_pow_k1":
+        if k is None:
+            raise ValueError("n_pow_k1 needs the gap size k")
+        return coefficient * float(n) ** (k + 1)
+    if shape == "n2":
+        return coefficient * n * n
+    if shape == "const":
+        return coefficient
+    raise ValueError(f"unknown growth shape {shape!r}")
+
+
 def reference_model(kind: Kind, n: int, k: Optional[int] = None,
                     coefficient: float = 1.0) -> float:
-    """Reference growth curve for the cover time: c*n^2*ln(n) for the
-    cocz/omm family, c*n^(k+1) for ojzj. The coefficient is a fit
-    parameter, never a claimed constant.
+    """Reference growth curve for the cover time: the "n2_log" shape
+    c*n^2*ln(n) for the cocz/omm family, "n_pow_k1" c*n^(k+1) for ojzj
+    (see ``growth_law``). The coefficient is a fit parameter, never a
+    claimed constant.
     """
-    if kind is Kind.OJZJ:
-        if k is None:
-            raise ValueError("ojzj reference needs the gap size")
-        return coefficient * float(n) ** (k + 1)
-    return coefficient * n * n * math.log(n)
+    return growth_law("n_pow_k1" if kind is Kind.OJZJ else "n2_log", n, k,
+                      coefficient)

@@ -6,9 +6,11 @@ or a FAIL suite), 2 = usage or configuration error. Censored trials are a
 normal result, never an error.
 
 Configuration is a flat key=value text file (same keys as the long flags,
-``#`` comments allowed); command-line flags override file values. Every
-run writes the fully resolved configuration next to its outputs so the
-invocation can be reproduced byte for byte.
+``#`` comments allowed); flags override file values, which override the
+run defaults. ``ExperimentConfig.to_kv``/``from_kv`` own the text form of
+the experiment keys. Every run writes ``resolved-config.txt`` (the
+``to_kv`` keys, ``jobs``, ``config_hash`` and ``calibration_version``);
+``run --config`` on it reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .benchmarks import (BRUTE_FORCE_MAX_N, BenchmarkSpec, Kind,
                          analytic_front, brute_force_front)
 from .bounds import (GeometricPhaseSet, chernoff_lower_tail,
                      harmonic_sum_bounds, witt_lower_tail, witt_upper_tail)
-from .experiments import (Checkpoint, ExperimentConfig, check_border_distance,
+from .engine import ALGORITHMS, VARIANTS
+from .experiments import (CONFIG_KEYS, ExperimentConfig,
+                          check_border_distance,
                           check_equivalence_modified_original,
                           check_front_spread, check_lower_bound_runtime,
                           check_scaling_exponent, check_semo_ojzj_failure,
@@ -37,6 +41,7 @@ REPORT_FILE = "report.csv"
 SUMMARY_FILE = "summary.txt"
 RESOLVED_CONFIG_FILE = "resolved-config.txt"
 
+BENCHMARKS = [kind.value for kind in Kind]
 SUITES = ("front-spread", "border-distance", "lower-bound", "scaling",
           "semo-failure", "equivalence")
 
@@ -66,152 +71,51 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = ("benchmark", "n", "k", "alg", "variant", "trials", "seed",
-                "max_iters", "interior_init", "record_trajectories",
-                "checkpoint", "jobs", "out")
+# run settings that a config file or a flag may give but ExperimentConfig
+# does not hold: worker processes and the output directory
+_RUN_KEYS = ("jobs", "out")
+_RUN_DEFAULTS = {"alg": "gsemo", "variant": "original", "trials": "10",
+                 "seed": "0", "jobs": "1"}
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise CliError(f"{what} must be a comma-separated integer list, "
-                       f"got {text!r}") from None
-
-
-def _parse_int(value, what: str) -> int:
-    """A flag value (already an int) or a config-file string."""
-    try:
-        return int(value)
-    except ValueError:
-        raise CliError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _parse_switch(text: str, what: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise CliError(f"{what} must be on or off, got {text!r}")
-
-
-def _parse_checkpoints(items) -> tuple[Checkpoint, ...]:
-    cps = []
-    for item in items:
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise CliError(f"checkpoint must be name:shape:coefficient, "
-                           f"got {item!r}")
-        name, shape, coeff = parts
-        try:
-            cps.append(Checkpoint(name, shape, float(coeff)))
-        except ValueError as exc:
-            raise CliError(f"bad checkpoint {item!r}: {exc}") from None
-    return tuple(cps)
+def _flag_values(args) -> dict[str, str]:
+    """The run flags that were given, as config text (each flag's dest is
+    its config key; repeated flags join into one list value)."""
+    values = {}
+    for key in (*CONFIG_KEYS, *_RUN_KEYS):
+        value = getattr(args, key)
+        if isinstance(value, list):
+            value = (";" if key == "checkpoint" else ",").join(map(str, value))
+        if value is not None:
+            values[key] = str(value)
+    return values
 
 
 def _resolve_run_settings(args) -> tuple[ExperimentConfig, int, str]:
     file_values = _parse_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - set(_CONFIG_KEYS)
-    if unknown:
-        raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def pick(flag_value, key: str, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    benchmark = pick(args.benchmark, "benchmark")
-    if benchmark is None:
-        raise CliError("a benchmark is required (--benchmark or config)")
-    ns_raw = pick(",".join(map(str, args.n)) if args.n else None, "n")
-    if not ns_raw:
-        raise CliError("at least one problem size is required (--n)")
-    ns = _parse_int_list(str(ns_raw), "n")
-    ks_raw = pick(",".join(map(str, args.k)) if args.k else None, "k")
-    ks = _parse_int_list(str(ks_raw), "k") if ks_raw else ()
-    algorithm = pick(args.alg, "alg", "gsemo")
-    variant = pick(args.variant, "variant", "original")
-    trials = _parse_int(pick(args.trials, "trials", 10), "trials")
-    seed = _parse_int(pick(args.seed, "seed", 0), "seed")
-    max_iters_raw = pick(args.max_iters, "max_iters")
-    max_iters = (_parse_int(max_iters_raw, "max_iters")
-                 if max_iters_raw is not None else None)
-    interior_raw = pick(args.interior_init, "interior_init", "off")
-    interior = (_parse_switch(interior_raw, "interior-init")
-                if isinstance(interior_raw, str) else bool(interior_raw))
-    record_raw = pick(args.record_trajectories, "record_trajectories", "on")
-    record = (_parse_switch(record_raw, "record-trajectories")
-              if isinstance(record_raw, str) else bool(record_raw))
-    cp_items = list(args.checkpoint or [])
-    if not cp_items and "checkpoint" in file_values:
-        cp_items = [p for p in file_values["checkpoint"].split(";") if p]
-    checkpoints = _parse_checkpoints(cp_items)
-    jobs = _parse_int(pick(args.jobs, "jobs", 1), "jobs")
-    out = pick(args.out, "out")
+    values = {**_RUN_DEFAULTS, **file_values, **_flag_values(args)}
+    jobs_text, out = (values.pop(key, None) for key in _RUN_KEYS)
+    try:
+        jobs = int(jobs_text)
+    except ValueError:
+        raise CliError(f"jobs must be an integer, got {jobs_text!r}") from None
+    config = ExperimentConfig.from_kv(values)
     if out is None:
         raise CliError("an output directory is required (--out)")
-    try:
-        config = ExperimentConfig(
-            benchmark=str(benchmark), algorithm=str(algorithm),
-            variant=str(variant), ns=ns, trials=trials, master_seed=seed,
-            ks=ks, max_iterations=max_iters, interior_init=interior,
-            record_trajectories=record, checkpoints=checkpoints)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return config, jobs, str(out)
+    return config, jobs, out
 
 
-def _config_lines(config: ExperimentConfig, jobs: int) -> list[str]:
-    cps = ";".join(f"{c.name}:{c.shape}:{c.coefficient}"
-                   for c in config.checkpoints)
-    return [
-        f"benchmark={config.benchmark}",
-        f"alg={config.algorithm}",
-        f"variant={config.variant}",
-        f"n={','.join(map(str, config.ns))}",
-        f"k={','.join(map(str, config.ks))}",
-        f"trials={config.trials}",
-        f"seed={config.master_seed}",
-        f"max_iters={'' if config.max_iterations is None else config.max_iterations}",
-        f"interior_init={'on' if config.interior_init else 'off'}",
-        f"record_trajectories={'on' if config.record_trajectories else 'off'}",
-        f"checkpoint={cps}",
-        f"jobs={jobs}",
-        f"config_hash={config_hash(config)}",
-        f"calibration_version={cal.CALIBRATION_VERSION}",
-    ]
-
-
-def _load_resolved_config(out_dir: str) -> tuple[ExperimentConfig, dict[str, str]]:
+def _load_resolved_config(out_dir: str) -> ExperimentConfig:
     path = os.path.join(out_dir, RESOLVED_CONFIG_FILE)
     if not os.path.exists(path):
         raise CliError(f"missing {path}; expected the resolved configuration "
                        "written by the run command")
     values = _parse_config_file(path)
+    values.pop("jobs", None)
     try:
-        checkpoints = _parse_checkpoints(
-            [p for p in values.get("checkpoint", "").split(";") if p])
-        config = ExperimentConfig(
-            benchmark=values["benchmark"], algorithm=values["alg"],
-            variant=values["variant"],
-            ns=_parse_int_list(values["n"], "n"),
-            trials=int(values["trials"]), master_seed=int(values["seed"]),
-            ks=_parse_int_list(values["k"], "k") if values.get("k") else (),
-            max_iterations=(int(values["max_iters"])
-                            if values.get("max_iters") else None),
-            interior_init=_parse_switch(values.get("interior_init", "off"),
-                                        "interior_init"),
-            record_trajectories=_parse_switch(
-                values.get("record_trajectories", "on"),
-                "record_trajectories"),
-            checkpoints=checkpoints)
-    except (KeyError, ValueError) as exc:
+        return ExperimentConfig.from_kv(values)
+    except ValueError as exc:
         raise CliError(f"{path}: invalid resolved configuration: {exc}") from None
-    return config, values
 
 
 def cmd_run(args) -> int:
@@ -229,8 +133,12 @@ def cmd_run(args) -> int:
     write_trials_csv(results, os.path.join(out, TRIALS_FILE))
     if config.record_trajectories:
         write_trajectories_csv(results, os.path.join(out, TRAJECTORIES_FILE))
+    resolved = {**config.to_kv(), "jobs": str(jobs),
+                "config_hash": config_hash(config),
+                "calibration_version": cal.CALIBRATION_VERSION}
     with open(os.path.join(out, RESOLVED_CONFIG_FILE), "w") as fh:
-        fh.write("\n".join(_config_lines(config, jobs)) + "\n")
+        fh.write("".join(f"{key}={value}\n"
+                         for key, value in resolved.items()))
     censored = sum(r.censored for r in results)
     print(f"{len(results)} trials across {len(config.cells())} cells "
           f"({censored} censored) -> {out}")
@@ -274,7 +182,7 @@ def _auto_suites(config: ExperimentConfig) -> list[str]:
 
 def cmd_report(args) -> int:
     out = args.out
-    config, _ = _load_resolved_config(out)
+    config = _load_resolved_config(out)
     trials_path = os.path.join(out, TRIALS_FILE)
     if not os.path.exists(trials_path):
         raise CliError(f"missing {trials_path}; run the grid first")
@@ -369,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute an experiment grid")
     run_p.add_argument("--config", help="key=value configuration file")
-    run_p.add_argument("--benchmark", choices=["cocz", "omm", "ojzj"])
+    run_p.add_argument("--benchmark", choices=BENCHMARKS)
     run_p.add_argument("--n", action="append", type=int,
                        help="problem size (repeatable)")
     run_p.add_argument("--k", action="append", type=int,
                        help="ojzj gap size (repeatable)")
-    run_p.add_argument("--alg", choices=["semo", "gsemo"])
-    run_p.add_argument("--variant", choices=["original", "modified"])
+    run_p.add_argument("--alg", choices=list(ALGORITHMS))
+    run_p.add_argument("--variant", choices=list(VARIANTS))
     run_p.add_argument("--trials", type=int)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--max-iters", dest="max_iters", type=int)
@@ -392,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p = sub.add_parser("oracle",
                               help="cross-check closed-form vs brute-force front")
     oracle_p.add_argument("--benchmark", required=True,
-                          choices=["cocz", "omm", "ojzj"])
+                          choices=BENCHMARKS)
     oracle_p.add_argument("--n", type=int, required=True)
     oracle_p.add_argument("--k", type=int)
     oracle_p.set_defaults(func=cmd_oracle)
@@ -403,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--suite", action="append", choices=list(SUITES),
                           help="suite to run (repeatable; default: auto)")
     report_p.add_argument("--equiv-benchmark", default="cocz",
-                          choices=["cocz", "omm", "ojzj"])
+                          choices=BENCHMARKS)
     report_p.add_argument("--equiv-n", type=int, default=8)
     report_p.add_argument("--equiv-k", type=int, default=None)
     report_p.add_argument("--equiv-steps", type=int, default=30)

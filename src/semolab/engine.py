@@ -58,7 +58,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .benchmarks import BenchmarkSpec, Kind, default_max_iterations
+from . import calibration as cal
+from .benchmarks import BenchmarkSpec, Kind
+from .bounds import reference_model
 from .core import Individual, Population
 
 
@@ -70,6 +72,12 @@ class Mutation(Enum):
 class Selection(Enum):
     UNIFORM_PARENT = "uniform"
     SLOT_PARENT = "slot"
+
+
+# the algorithm and variant names that configs and the CLI accept
+ALGORITHMS = {"semo": Mutation.ONE_BIT, "gsemo": Mutation.STANDARD}
+VARIANTS = {"original": Selection.UNIFORM_PARENT,
+            "modified": Selection.SLOT_PARENT}
 
 
 @dataclass(frozen=True)
@@ -102,14 +110,19 @@ class AlgorithmSpec:
     @classmethod
     def from_names(cls, algorithm: str, variant: str = "original",
                    max_iterations: Optional[int] = None) -> "AlgorithmSpec":
-        try:
-            mut = {"semo": Mutation.ONE_BIT,
-                   "gsemo": Mutation.STANDARD}[algorithm]
-            sel = {"original": Selection.UNIFORM_PARENT,
-                   "modified": Selection.SLOT_PARENT}[variant]
-        except KeyError as exc:
-            raise ValueError(f"unknown algorithm/variant: {exc}") from None
-        return cls(mut, sel, max_iterations)
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        return cls(ALGORITHMS[algorithm], VARIANTS[variant], max_iterations)
+
+    def cutoff(self, bspec: BenchmarkSpec) -> int:
+        """The iteration cutoff: ``max_iterations``, or by default
+        ``MAX_ITERATIONS_C`` times the benchmark's reference growth law."""
+        if self.max_iterations is not None:
+            return self.max_iterations
+        return int(reference_model(bspec.kind, bspec.n, bspec.k,
+                                   cal.MAX_ITERATIONS_C))
 
 
 def _randbelow(getrandbits, n: int) -> int:
@@ -394,9 +407,7 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     """
     state = init_state(bspec, alg, seed, interior_init=interior_init,
                        slot_count_offset=slot_count_offset)
-    max_iters = alg.max_iterations
-    if max_iters is None:
-        max_iters = default_max_iterations(bspec)
+    max_iters = alg.cutoff(bspec)
     period = sample_every if sample_every else default_sample_period(bspec.n)
     # a segment of the loop runs up to the next due record: the next
     # period tick, forced point or the cutoff (t=0 is always recorded)

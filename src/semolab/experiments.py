@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from . import calibration as cal
-from .benchmarks import BenchmarkSpec, Kind, default_max_iterations
-from .bounds import reference_model
+from .benchmarks import BenchmarkSpec, Kind
+from .bounds import growth_law, reference_model
 from .engine import (AlgorithmSpec, TrajectoryRecord, TrialResult, measure,
                      run_offspring_budget, run_until_cover)
 
@@ -37,31 +37,73 @@ MAX_ITERATION_LIMIT = 2 ** 62  # cells beyond this are rejected up front
 class Checkpoint:
     """Named per-cell iteration checkpoint, e.g. 0.001 * n^2 * ln n.
 
-    Shapes: "n2_log" -> c*n^2*ln(n); "n2" -> c*n^2; "n_pow_k1" -> c*n^(k+1);
-    "const" -> c. Values are floored to integers.
+    The shape is one of ``bounds.growth_law``'s ("n2_log", "n2",
+    "n_pow_k1", "const"); values are floored to integers. The name must
+    survive the config text, where ";" separates checkpoints, ":" their
+    fields, and each line is read stripped.
     """
 
     name: str
     shape: str
     coefficient: float
 
+    def __post_init__(self):
+        if (not self.name or self.name != self.name.strip()
+                or any(c in self.name for c in ";:\r\n")):
+            raise ValueError(f"checkpoint name must be non-empty, without "
+                             f"';', ':', line breaks or surrounding "
+                             f"whitespace, got {self.name!r}")
+
     def iterations(self, n: int, k: Optional[int] = None) -> int:
-        if self.shape == "n2_log":
-            value = self.coefficient * n * n * math.log(n)
-        elif self.shape == "n2":
-            value = self.coefficient * n * n
-        elif self.shape == "n_pow_k1":
-            if k is None:
-                raise ValueError(f"checkpoint {self.name!r} needs a gap size")
-            value = self.coefficient * float(n) ** (k + 1)
-        elif self.shape == "const":
-            value = self.coefficient
-        else:
-            raise ValueError(f"unknown checkpoint shape {self.shape!r}")
-        result = int(value)
+        try:
+            result = int(growth_law(self.shape, n, k, self.coefficient))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"checkpoint {self.name!r}: {exc}") from None
         if result < 0:
             raise ValueError(f"checkpoint {self.name!r} is negative at n={n}")
         return result
+
+
+# keys of the key=value config text, in the order ``to_kv`` writes them
+CONFIG_KEYS = ("benchmark", "alg", "variant", "n", "k", "trials", "seed",
+               "max_iters", "interior_init", "record_trajectories",
+               "checkpoint")
+# written next to the settings for the record; ``from_kv`` skips them
+DERIVED_KEYS = ("config_hash", "calibration_version")
+_SWITCHES = {"on": True, "true": True, "1": True, "yes": True,
+             "off": False, "false": False, "0": False, "no": False}
+_INTS = (lambda text: tuple(int(p) for p in text.split(",") if p.strip()),
+         "a comma-separated integer list")
+_SWITCH = (lambda text: _SWITCHES[text.strip().lower()], "on or off")
+_KV_FORMS = {"n": _INTS, "k": _INTS, "trials": (int, "an integer"),
+             "seed": (int, "an integer"),
+             "max_iters": (lambda text: int(text) if text else None,
+                           "an integer"),
+             "interior_init": _SWITCH, "record_trajectories": _SWITCH}
+
+
+def _kv(values: dict[str, str], key: str, default: str = ""):
+    """The value of ``key`` parsed by its text form (see ``to_kv``)."""
+    text = values.get(key, default)
+    parse, form = _KV_FORMS[key]
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key} must be {form}, got {text!r}") from None
+
+
+def _kv_checkpoints(text: str) -> tuple[Checkpoint, ...]:
+    checkpoints = []
+    for item in filter(None, text.split(";")):
+        parts = item.split(":")
+        try:
+            if len(parts) != 3:
+                raise ValueError("checkpoint must be name:shape:coefficient")
+            checkpoints.append(Checkpoint(parts[0], parts[1], float(parts[2])))
+        except ValueError as exc:
+            raise ValueError(f"bad checkpoint {item!r} in {text!r}: {exc}"
+                             ) from None
+    return tuple(checkpoints)
 
 
 @dataclass(frozen=True)
@@ -79,14 +121,14 @@ class ExperimentConfig:
     checkpoints: tuple[Checkpoint, ...] = ()
 
     def __post_init__(self):
-        if self.benchmark not in ("cocz", "omm", "ojzj"):
+        if self.benchmark not in list(Kind):
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
-        if self.algorithm not in ("semo", "gsemo"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.variant not in ("original", "modified"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        AlgorithmSpec.from_names(self.algorithm, self.variant)
         if self.trials < 1:
             raise ValueError("trials per cell must be >= 1")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError(f"iteration cutoff must be >= 0, got "
+                             f"{self.max_iterations}")
         if not self.ns:
             raise ValueError("empty problem-size grid")
         if any(b <= a for a, b in zip(self.ns, self.ns[1:])):
@@ -111,11 +153,44 @@ class ExperimentConfig:
     def benchmark_spec(self, n: int, k: Optional[int]) -> BenchmarkSpec:
         return BenchmarkSpec(Kind(self.benchmark), n, k)
 
-    def resolve_max_iterations(self, n: int, k: Optional[int]) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return default_max_iterations(self.benchmark_spec(n, k),
-                                      cal.MAX_ITERATIONS_C)
+    def algorithm_spec(self) -> AlgorithmSpec:
+        return AlgorithmSpec.from_names(self.algorithm, self.variant,
+                                        self.max_iterations)
+
+    def to_kv(self) -> dict[str, str]:
+        """The text value of every key in ``CONFIG_KEYS``: n and k as
+        comma lists, switches as on/off, an empty max_iters for the default
+        cutoff and checkpoints as ``name:shape:coefficient;...``."""
+        return dict(zip(CONFIG_KEYS, (
+            self.benchmark, self.algorithm, self.variant,
+            ",".join(map(str, self.ns)), ",".join(map(str, self.ks)),
+            str(self.trials), str(self.master_seed),
+            "" if self.max_iterations is None else str(self.max_iterations),
+            "on" if self.interior_init else "off",
+            "on" if self.record_trajectories else "off",
+            ";".join(f"{c.name}:{c.shape}:{c.coefficient}"
+                     for c in self.checkpoints))))
+
+    @classmethod
+    def from_kv(cls, values: dict[str, str]) -> "ExperimentConfig":
+        """Parse the text values of ``to_kv``. The keys benchmark, alg,
+        variant, n, trials and seed are required; a missing optional key
+        takes the field's default, and ``DERIVED_KEYS`` are skipped."""
+        unknown = set(values) - set(CONFIG_KEYS) - set(DERIVED_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: "
+                             f"{', '.join(sorted(unknown))}")
+        missing = [key for key in ("benchmark", "alg", "variant", "n",
+                                   "trials", "seed") if key not in values]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
+        return cls(
+            values["benchmark"], values["alg"], values["variant"],
+            _kv(values, "n"), _kv(values, "trials"), _kv(values, "seed"),
+            ks=_kv(values, "k"), max_iterations=_kv(values, "max_iters"),
+            interior_init=_kv(values, "interior_init", "off"),
+            record_trajectories=_kv(values, "record_trajectories", "on"),
+            checkpoints=_kv_checkpoints(values.get("checkpoint", "")))
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -139,10 +214,8 @@ def _run_task(args) -> TrialResult:
     seed = trial_seed(config.master_seed, config.benchmark, n, k,
                       config.algorithm, config.variant, trial)
     bspec = config.benchmark_spec(n, k)
-    alg = AlgorithmSpec.from_names(config.algorithm, config.variant,
-                                   config.resolve_max_iterations(n, k))
     sample_at = tuple(cp.iterations(n, k) for cp in config.checkpoints)
-    return run_until_cover(bspec, alg, seed,
+    return run_until_cover(bspec, config.algorithm_spec(), seed,
                            interior_init=config.interior_init,
                            record_trajectory=config.record_trajectories,
                            sample_at=sample_at)
@@ -154,8 +227,9 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> list[TrialResult]:
     The output is identical for any ``jobs`` value and any scheduling,
     because seeds are content-derived and the collector keeps task order.
     """
+    alg = config.algorithm_spec()
     for n, k in config.cells():
-        cutoff = config.resolve_max_iterations(n, k)
+        cutoff = alg.cutoff(config.benchmark_spec(n, k))
         if cutoff > MAX_ITERATION_LIMIT:
             raise ValueError(
                 f"cell n={n} k={k}: iteration cutoff {cutoff} exceeds the "
@@ -208,14 +282,6 @@ def _single_series(results: Sequence[TrialResult]) -> None:
         raise ValueError(f"results mix incompatible cells: {sorted(ids)}")
 
 
-def _model_term(model: str, kind: Kind, n: int, k: Optional[int]) -> float:
-    if model == "pure_poly":
-        return float(n)
-    if model == "poly_log":
-        return reference_model(kind, n, k)
-    raise ValueError(f"unknown scaling model {model!r}")
-
-
 def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
                 metric: str = "evals",
                 bootstrap: int = cal.BOOTSTRAP_RESAMPLES,
@@ -244,7 +310,10 @@ def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
                    float(np.quantile(finite, 0.75)))
 
     kind, k = Kind(results[0].benchmark), results[0].k
-    x = np.array([math.log(_model_term(model, kind, n, k)) for n in ns])
+    if model not in ("pure_poly", "poly_log"):
+        raise ValueError(f"unknown scaling model {model!r}")
+    x = np.array([math.log(float(n) if model == "pure_poly"
+                           else reference_model(kind, n, k)) for n in ns])
     y = np.array([math.log(medians[n]) for n in ns])
     slope, intercept = np.polyfit(x, y, 1)
     residuals = tuple(float(r) for r in (y - (slope * x + intercept)))
@@ -353,7 +422,7 @@ def check_front_spread(results: Sequence[TrialResult],
     for label, group in group_by_cell(results).items():
         n = group[0].n
         need = math.ceil(n / 4) if group[0].benchmark == "cocz" else math.ceil(n / 2)
-        budget = int(coefficient * n * n)
+        budget = int(growth_law("n2", n, coefficient=coefficient))
         passes = 0
         for r in group:
             hit = next((rec.t for rec in r.trajectory if rec.covered >= need),
@@ -383,7 +452,8 @@ def check_border_distance(results: Sequence[TrialResult],
     for label, group in group_by_cell(results).items():
         n = group[0].n
         k = group[0].k
-        horizon = int(coefficient * n * n * math.log(n))
+        # the same point as the checkpoint border:n2_log:<coefficient>
+        horizon = int(growth_law("n2_log", n, coefficient=coefficient))
         bar = math.sqrt(n)
         if group[0].benchmark == "ojzj" and k is not None:
             bar = max(bar, float(k))

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from semolab.benchmarks import (BRUTE_FORCE_MAX_N, BenchmarkSpec, Kind,
                                 ParetoFront, analytic_front,
-                                brute_force_front, default_max_iterations)
+                                brute_force_front)
 from semolab.core import Individual, strict_dominates
+from semolab.engine import AlgorithmSpec
 
 
 def ind(s: str) -> Individual:
@@ -265,8 +266,12 @@ class TestKernels:
 
 
 def test_default_max_iterations_policy():
+    """Without ``max_iterations`` a run stops at MAX_ITERATIONS_C (50)
+    times the benchmark's reference growth law."""
     import math
-    assert default_max_iterations(BenchmarkSpec(Kind.COCZ, 64)) \
+    assert AlgorithmSpec.gsemo().cutoff(BenchmarkSpec(Kind.COCZ, 64)) \
         == int(50 * 64 * 64 * math.log(64))
-    assert default_max_iterations(BenchmarkSpec(Kind.OJZJ, 12, 2)) \
+    assert AlgorithmSpec.gsemo().cutoff(BenchmarkSpec(Kind.OJZJ, 12, 2)) \
         == 50 * 12 ** 3
+    assert AlgorithmSpec.semo(max_iterations=7).cutoff(
+        BenchmarkSpec(Kind.OMM, 64)) == 7

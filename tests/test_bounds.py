@@ -1,6 +1,7 @@
 """Tail bounds, the sum-integral sandwich, and reference growth curves."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from semolab.benchmarks import BenchmarkSpec, Kind
 from semolab.bounds import (GeometricPhaseSet, chernoff_lower_tail,
-                            harmonic_sum_bounds, reference_model,
+                            growth_law, harmonic_sum_bounds, reference_model,
                             witt_lower_tail, witt_upper_tail)
 
 phase_sets = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=10).map(
@@ -169,3 +170,32 @@ class TestReferenceModel:
             == pytest.approx(0.05 * 12 ** 3)
         with pytest.raises(ValueError):
             reference_model(Kind.OJZJ, 12)
+
+
+class TestGrowthLaw:
+    def test_shapes(self):
+        assert growth_law("n2_log", 128, coefficient=0.001) \
+            == 0.001 * 128 * 128 * math.log(128)
+        assert growth_law("n2", 10, coefficient=2.0) == 200.0
+        assert growth_law("n_pow_k1", 10, 2) == 1000.0
+        assert growth_law("const", 999, coefficient=50.0) == 50.0
+        with pytest.raises(ValueError, match="gap size"):
+            growth_law("n_pow_k1", 10)
+        with pytest.raises(ValueError, match="unknown growth shape"):
+            growth_law("exp", 10)
+
+    def test_reference_model_is_the_law(self):
+        for n in (8, 64, 1000):
+            assert reference_model(Kind.COCZ, n, coefficient=50.0) \
+                == growth_law("n2_log", n, coefficient=50.0)
+            assert reference_model(Kind.OJZJ, n, 3, 0.05) \
+                == growth_law("n_pow_k1", n, 3, 0.05)
+
+    def test_written_once(self):
+        """n^2 ln n and n^(k+1) have one definition in the package."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src", "semolab")
+        text = "".join(open(os.path.join(src, name)).read()
+                       for name in os.listdir(src) if name.endswith(".py"))
+        assert text.count("n * n * math.log(n)") == 1
+        assert text.count("** (k + 1)") == 1

@@ -2,6 +2,7 @@
 
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -104,6 +105,46 @@ class TestRun:
         assert run_cli(*args, "--jobs", "2", "--out", str(b)) == 0
         assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
 
+    def test_replay_resolved_config(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("run", "--benchmark", "cocz", "--n", "8", "--n", "10",
+                       "--variant", "modified", "--trials", "3", "--seed", "6",
+                       "--checkpoint", "border:n2_log:0.001",
+                       "--checkpoint", "spread:n2:0.5", "--out", str(a)) == 0
+        assert run_cli("run", "--config", str(a / "resolved-config.txt"),
+                       "--out", str(b)) == 0
+        for name in ("trials.csv", "trajectories.csv", "resolved-config.txt"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("checkpoint", ["a;b:n2:1", ":n2:1"])
+    def test_checkpoint_names_that_do_not_round_trip(self, tmp_path, capsys,
+                                                     checkpoint):
+        base = ("run", "--benchmark", "omm", "--n", "8", "--trials", "1")
+        assert run_cli(*base, "--checkpoint", checkpoint,
+                       "--out", str(tmp_path / "flag")) == 2
+        assert repr(checkpoint) in capsys.readouterr().err
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"checkpoint={checkpoint}\n")
+        assert run_cli(*base, "--config", str(cfg),
+                       "--out", str(tmp_path / "file")) == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
+        assert not (tmp_path / "file").exists()
+
+    def test_negative_cutoff_rejected(self, tmp_path, capsys):
+        base = ("run", "--benchmark", "omm", "--n", "8", "--trials", "2")
+        assert run_cli(*base, "--max-iters", "-5",
+                       "--out", str(tmp_path / "flag")) == 2
+        assert "cutoff must be >= 0, got -5" in capsys.readouterr().err
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("max_iters=-5\n")
+        assert run_cli(*base, "--config", str(cfg),
+                       "--out", str(tmp_path / "file")) == 2
+        assert "cutoff must be >= 0, got -5" in capsys.readouterr().err
+        zero = tmp_path / "zero"
+        assert run_cli(*base, "--max-iters", "0", "--out", str(zero)) == 0
+        assert "max_iters=0\n" in (zero / "resolved-config.txt").read_text()
+
     def test_interior_init_flag(self, tmp_path, capsys):
         code = run_cli("run", "--benchmark", "ojzj", "--n", "10", "--k", "2",
                        "--trials", "2", "--interior-init", "on",
@@ -200,6 +241,26 @@ class TestReport:
         assert code == 2
         assert "interior" in capsys.readouterr().err
 
+    def test_loads_resolved_config_of_earlier_version(self, tmp_path, capsys):
+        """``data/earlier-run`` holds a run (with a checkpoint and the default
+        cutoff) written by an earlier version of the CLI, with its report
+        summary. Its report and its replay stay byte-identical."""
+        fixture = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "data", "earlier-run")
+        out = tmp_path / "old"
+        shutil.copytree(fixture, out)
+        (out / "summary.txt").unlink()
+        assert run_cli("report", "--out", str(out)) == 1
+        expected = open(os.path.join(fixture, "summary.txt")).read()
+        assert (out / "summary.txt").read_text() == expected
+        assert "config f554082203b842f2" in expected
+        replay = tmp_path / "replay"
+        assert run_cli("run", "--config", str(out / "resolved-config.txt"),
+                       "--out", str(replay)) == 0
+        for name in ("resolved-config.txt", "trials.csv", "trajectories.csv"):
+            with open(os.path.join(fixture, name), "rb") as fh:
+                assert (replay / name).read_bytes() == fh.read(), name
+
     def test_equivalence_suite_and_negative_control(self, tmp_path, capsys):
         out = self.make_run(tmp_path)
         code = run_cli("report", "--out", str(out), "--suite", "equivalence",
@@ -276,6 +337,19 @@ assert main(["run", "--benchmark", "cocz", "--n", "8", "--trials", "2",
 assert main(["oracle", "--benchmark", "omm", "--n", "6"]) == 0
 assert main(["bounds", "witt", "--phases", "0.5,0.5", "--lam", "4"]) == 0
 assert main(["bounds", "chernoff", "--mean", "50", "--delta", "0.5"]) == 0
+""")
+        assert "semolab.cli" in loaded
+        heavy = sorted(m for m in loaded if m.split(".")[0] in HEAVY)
+        assert heavy == []
+
+    def test_run_from_config_file_loads_no_heavy_library(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("benchmark=ojzj\nn=8\nk=2\ntrials=2\nmax_iters=\n"
+                       "checkpoint=border:n2_log:0.001\n")
+        loaded = fresh_modules(f"""
+from semolab.cli import main
+assert main(["run", "--config", {str(cfg)!r},
+             "--out", {str(tmp_path / "out")!r}]) == 0
 """)
         assert "semolab.cli" in loaded
         heavy = sorted(m for m in loaded if m.split(".")[0] in HEAVY)

@@ -4,10 +4,13 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semolab import calibration as cal
 from semolab.benchmarks import BenchmarkSpec, Kind
 from semolab.engine import TrajectoryRecord, TrialResult
-from semolab.experiments import (Checkpoint, ExperimentConfig,
+from semolab.experiments import (CONFIG_KEYS, Checkpoint, ExperimentConfig,
                                  check_border_distance,
                                  check_equivalence_modified_original,
                                  check_front_spread,
@@ -80,6 +83,35 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig("cocz", "gsemo", "original", (8,), 1, 1,
                              checkpoints=(Checkpoint("neg", "n2", -1.0),))
+        with pytest.raises(ValueError, match="'x'.*gap size"):
+            ExperimentConfig("cocz", "gsemo", "original", (8,), 1, 1,
+                             checkpoints=(Checkpoint("x", "n_pow_k1", 1.0),))
+        with pytest.raises(ValueError, match="'inf'"):
+            Checkpoint("inf", "n2", math.inf).iterations(8)
+        for name in ("", "a;b", "a:b", " a", "a\nb"):
+            with pytest.raises(ValueError, match="checkpoint name"):
+                Checkpoint(name, "n2", 1.0)
+
+    def test_border_horizon_is_the_border_checkpoint(self):
+        """The border-distance suite checks through the point that the
+        checkpoint border:n2_log:BORDER_DISTANCE_C forces a record at."""
+        border = Checkpoint("border", "n2_log", cal.BORDER_DISTANCE_C)
+        for n in (8, 64, 128, 1000):
+            report = check_border_distance(
+                [synthetic(n=n, trajectory=[record(0)])],
+                ExperimentConfig("cocz", "gsemo", "modified", (n,), 1, 0))
+            assert report.cells[0].detail.endswith(
+                f"t<={border.iterations(n)}")
+
+    def test_cutoff_validation(self):
+        for bad in (-1, -5):
+            with pytest.raises(ValueError, match="cutoff must be >= 0"):
+                ExperimentConfig("cocz", "gsemo", "original", (8,), 2, 1,
+                                 max_iterations=bad)
+        zero = ExperimentConfig("cocz", "gsemo", "original", (8,), 2, 1,
+                                max_iterations=0, record_trajectories=False)
+        assert all(r.censored and r.runtime_iters == 0
+                   for r in run_grid(zero))
 
     def test_hash_stable(self):
         a = ExperimentConfig("cocz", "gsemo", "original", (8,), 2, 1)
@@ -87,6 +119,96 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         c = ExperimentConfig("cocz", "gsemo", "original", (8,), 2, 2)
         assert config_hash(a) != config_hash(c)
+
+
+PINNED_CONFIG = ExperimentConfig(
+    "ojzj", "semo", "modified", (10, 12), 7, 123, ks=(2, 3),
+    max_iterations=5000, interior_init=True, record_trajectories=False,
+    checkpoints=(Checkpoint("early", "n_pow_k1", 0.25),
+                 Checkpoint("c", "const", 17.0)))
+
+checkpoint_names = st.text(min_size=1, max_size=8).filter(
+    lambda name: name == name.strip()
+    and not any(c in name for c in ";:\r\n"))
+
+
+@st.composite
+def configs(draw):
+    benchmark = draw(st.sampled_from([kind.value for kind in Kind]))
+    ns = sorted(draw(st.sets(st.integers(2, 40), min_size=1, max_size=4)))
+    if benchmark == "cocz":
+        ns = sorted({2 * (n // 2) for n in ns})
+    ks = ()
+    shapes = ["n2_log", "n2", "const"]
+    if benchmark == "ojzj":
+        ks = tuple(draw(st.lists(st.integers(2, ns[0]), min_size=1,
+                                 max_size=3, unique=True)))
+        shapes.append("n_pow_k1")
+    checkpoints = draw(st.lists(st.builds(
+        Checkpoint, checkpoint_names, st.sampled_from(shapes),
+        st.floats(0.0, 1e6)), max_size=3))
+    return ExperimentConfig(
+        benchmark, draw(st.sampled_from(["semo", "gsemo"])),
+        draw(st.sampled_from(["original", "modified"])), tuple(ns),
+        draw(st.integers(1, 10 ** 6)), draw(st.integers(-2 ** 70, 2 ** 70)),
+        ks=ks, max_iterations=draw(st.none() | st.integers(0, 2 ** 64)),
+        interior_init=benchmark == "ojzj" and draw(st.booleans()),
+        record_trajectories=draw(st.booleans()),
+        checkpoints=tuple(checkpoints))
+
+
+class TestConfigText:
+    @settings(max_examples=300, deadline=None)
+    @given(configs())
+    def test_round_trip(self, config):
+        values = config.to_kv()
+        assert list(values) == list(CONFIG_KEYS)
+        again = ExperimentConfig.from_kv(values)
+        assert again == config
+        assert config_hash(again) == config_hash(config)
+
+    def test_hash_pinned(self):
+        """Reports written by earlier versions keep their config hash."""
+        assert config_hash(PINNED_CONFIG) == "45eefe6fd3e85265"
+
+    def test_text_form(self):
+        assert PINNED_CONFIG.to_kv() == {
+            "benchmark": "ojzj", "alg": "semo", "variant": "modified",
+            "n": "10,12", "k": "2,3", "trials": "7", "seed": "123",
+            "max_iters": "5000", "interior_init": "on",
+            "record_trajectories": "off",
+            "checkpoint": "early:n_pow_k1:0.25;c:const:17.0"}
+        default = ExperimentConfig("omm", "gsemo", "original", (8,), 1, 0)
+        assert default.to_kv()["max_iters"] == ""
+        assert default.to_kv()["checkpoint"] == ""
+
+    def test_from_kv_defaults_and_derived_keys(self):
+        values = {"benchmark": "omm", "alg": "gsemo", "variant": "original",
+                  "n": "8", "trials": "1", "seed": "0",
+                  "config_hash": "anything", "calibration_version": "0"}
+        assert ExperimentConfig.from_kv(values) == ExperimentConfig(
+            "omm", "gsemo", "original", (8,), 1, 0)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"population": "9"}, "unknown config keys: population"),
+        ({"seed": None}, "missing config keys: seed"),
+        ({"trials": "abc"}, "trials must be an integer, got 'abc'"),
+        ({"n": "8,x"}, "n must be a comma-separated integer list"),
+        ({"interior_init": "maybe"}, "interior_init must be on or off"),
+        ({"alg": "nsga2"}, "unknown algorithm 'nsga2'"),
+        ({"benchmark": "zdt1"}, "unknown benchmark 'zdt1'"),
+        ({"max_iters": "-5"}, "cutoff must be >= 0"),
+        ({"checkpoint": "a;b:n2:1"}, "checkpoint 'a' in 'a;b:n2:1'"),
+        ({"checkpoint": ":n2:1"}, "bad checkpoint ':n2:1'"),
+        ({"checkpoint": "a:cubic:1"}, "unknown growth shape 'cubic'"),
+    ])
+    def test_from_kv_errors(self, change, message):
+        values = {"benchmark": "omm", "alg": "gsemo", "variant": "original",
+                  "n": "8", "trials": "1", "seed": "0", **change}
+        values = {key: value for key, value in values.items()
+                  if value is not None}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_kv(values)
 
 
 class TestRunGrid:
