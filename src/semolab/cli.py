@@ -99,6 +99,8 @@ def _resolve_run_settings(args) -> tuple[ExperimentConfig, int, str]:
         jobs = int(jobs_text)
     except ValueError:
         raise CliError(f"jobs must be an integer, got {jobs_text!r}") from None
+    if jobs < 1:
+        raise CliError(f"jobs must be >= 1, got {jobs}")
     config = ExperimentConfig.from_kv(values)
     if out is None:
         raise CliError("an output directory is required (--out)")

@@ -152,9 +152,6 @@ class Population:
         """Bits of the unique member in ``slot``, or None if empty."""
         return self._by_slot.get(slot)
 
-    def member_at(self, index: int) -> tuple[int, int, int]:
-        return self.xs[index], self.f1s[index], self.f2s[index]
-
     def insert(self, bits: int, f1: int, f2: int) -> bool:
         """Apply the one-offspring population update.
 

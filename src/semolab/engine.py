@@ -40,19 +40,17 @@ test in the suite. An iteration of the loop pays only for what it draws:
 * Only idle slot draws are counted. Every other iteration created one
   offspring, evaluated or not, so the evaluations after t iterations are
   t + 1 - idle and both runtimes match ``step``'s.
-* The loop runs in segments that end at the next scheduled trajectory
-  record (period tick, forced point or cutoff), so no iteration tests the
-  schedule; a record at a change of the covered count is taken in the
-  insert branch, the only place such a change can happen. ``measure``
-  runs only for records taken after an insert; a record between two
-  value-set changes reuses the last measurement with the new ``t``.
+* With trajectories on, the loop records change points only: ``measure``
+  at t=0 and after each insert, the only place where a record's fields
+  other than ``t`` can change, so no iteration tests a schedule.
+  ``_sample`` derives the sampled records from them when the run ends.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -370,6 +368,33 @@ def default_sample_period(n: int) -> int:
     return max(1, math.ceil(n * n / 200))
 
 
+def _sample(changes: list[TrajectoryRecord], end: int, period: int,
+            sample_at: tuple[int, ...],
+            max_iters: int) -> tuple[TrajectoryRecord, ...]:
+    """The sampled trajectory of a run that stopped at t = ``end``.
+
+    ``changes`` holds the run's change points in order of t: ``measure``
+    at t=0 and after every insert. Between two of them nothing a record
+    holds changes, so the state at t is the last change point at or
+    before t. A record is due at t=0, at every multiple of ``period``, at
+    every point of ``sample_at`` in (0, max_iters), at every change of
+    the covered count, and at ``end``, each only up to ``end``. A record
+    due at a change point is that change point; any other is the state
+    with ``t`` replaced.
+    """
+    due = {0, end, *range(period, end + 1, period)}
+    due.update(s for s in map(int, sample_at) if 0 < s <= end and s < max_iters)
+    due.update(b.t for a, b in zip(changes, changes[1:])
+               if a.covered != b.covered)
+    ts = [c.t for c in changes]
+    records = []
+    for t in sorted(due):
+        rec = changes[bisect_right(ts, t) - 1]
+        records.append(rec if rec.t == t
+                       else TrajectoryRecord._make((t, *rec[1:])))
+    return tuple(records)
+
+
 def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
                     interior_init: bool = False,
                     record_trajectory: bool = True,
@@ -382,12 +407,10 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     Trajectory records are taken at t=0, every ``sample_every`` iterations
     (default ceil(n^2/200)), whenever the covered-front count changes, at
     every iteration listed in ``sample_at``, and at termination. The loop
-    runs in segments that end at the next period tick, forced point or
-    cutoff, and takes the scheduled record at the segment's end; a change
-    of the covered count can only follow an insert, so its record is taken
-    right there. Only a record after an insert calls ``measure``; any other
-    record copies the previous one with the new ``t``, since ``measure``
-    reads nothing that an equal-value replacement changes.
+    itself keeps no schedule: it calls ``measure`` at t=0 and after every
+    insert, and ``_sample`` builds the records from these change points
+    when the run ends. That is exact because ``measure`` reads nothing
+    that an equal-value replacement changes.
 
     Zero-flip copies of the parent are not evaluated, omm and ojzj values
     are read from ``Kernels.values`` without a call, and offspring weakly
@@ -409,25 +432,8 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
                        slot_count_offset=slot_count_offset)
     max_iters = alg.cutoff(bspec)
     period = sample_every if sample_every else default_sample_period(bspec.n)
-    # a segment of the loop runs up to the next due record: the next
-    # period tick, forced point or the cutoff (t=0 is always recorded)
-    if record_trajectory:
-        due = iter(sorted({int(s) for s in sample_at
-                           if 0 < int(s) < max_iters}))
-        next_tick = period
-    else:
-        due = iter(())
-        next_tick = max_iters
-    next_due = next(due, max_iters)
-
-    records: list[TrajectoryRecord] = []
-    tail = None  # fields after t of the last measurement
-    if record_trajectory:
-        records.append(measure(state))
-        tail = records[0][1:]
-    dirty = False  # an insert happened since the last measurement
-    # builds a copied record without the named tuple's Python-level __new__
-    tuple_new = tuple.__new__
+    # one record per change of the population's value set, t=0 first
+    changes = [measure(state)] if record_trajectory else []
 
     # hot loop: everything below is bound to locals on purpose, and index
     # draws inline the same getrandbits rejection scheme as _randbelow.
@@ -465,105 +471,79 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     slot_draw = state.slot_draw_count
     sbits = (slot_draw - 1).bit_length()
     front_size = kern.front_size
-    front_count = pop.front_count
     m = len(xs)
     mbits = (m - 1).bit_length()
     t = 0
     idle = 0
-    covered = front_count == front_size
 
-    while not covered and t < max_iters:
-        stop = next_tick if next_tick < next_due else next_due
-        for t in range(t + 1, stop + 1):
-            if slot_sel:
+    for t in range(1, max_iters + 1):
+        if slot_sel:
+            s = getrandbits(sbits)
+            while s >= slot_draw:
                 s = getrandbits(sbits)
-                while s >= slot_draw:
-                    s = getrandbits(sbits)
-                parent = member_at_slot(s)
-                if parent is None:
-                    idle += 1
-                    continue
-            else:
+            parent = member_at_slot(s)
+            if parent is None:
+                idle += 1
+                continue
+        else:
+            r = getrandbits(mbits)
+            while r >= m:
                 r = getrandbits(mbits)
-                while r >= m:
-                    r = getrandbits(mbits)
-                parent = xs[r]
-            if one_bit:
-                k = 1
-            else:
-                u = random_f()
-                if u <= c0:
-                    continue  # a copy of the parent changes nothing
-                k = 1 if u <= c1 else bisect_left(cdf, u)
+            parent = xs[r]
+        if one_bit:
+            k = 1
+        else:
+            u = random_f()
+            if u <= c0:
+                continue  # a copy of the parent changes nothing
+            k = 1 if u <= c1 else bisect_left(cdf, u)
+        pos = getrandbits(nbits)
+        while pos >= n:
+            pos = getrandbits(nbits)
+        mask = 1 << pos
+        while k > 1:
             pos = getrandbits(nbits)
             while pos >= n:
                 pos = getrandbits(nbits)
-            mask = 1 << pos
-            while k > 1:
-                pos = getrandbits(nbits)
-                while pos >= n:
-                    pos = getrandbits(nbits)
-                b = 1 << pos
-                if not mask & b:
-                    mask |= b
-                    k -= 1
-            y = parent ^ mask
-            key = y.bit_count()
-            if half_mask:
-                key += (y & half_mask).bit_count() * n1
-            fate = fate_get(key)
-            if fate is not None:
-                if fate >= 0:
-                    xs[fate] = y
-                    by_slot[slots[fate]] = y
-                continue
-            f1, f2 = values[key] if values else evaluate(y)
-            idx = bisect_left(f1s, f1)
-            if idx < m and f2s[idx] >= f2:
-                # weakly dominated: dropped, or at equal value (hence the
-                # same slot) it takes the member's place
-                if f2s[idx] == f2 and f1s[idx] == f1:
-                    xs[idx] = y
-                    by_slot[slots[idx]] = y
-                    fates[key] = idx
-                else:
-                    fates[key] = -1
-                continue
-            insert(y, f1, f2)
-            fates.clear()
-            dirty = True
-            m = len(xs)
-            mbits = (m - 1).bit_length()
-            if pop.front_count != front_count:
-                front_count = pop.front_count
-                if record_trajectory:
-                    state.t = t
-                    records.append(measure(state))
-                    tail = records[-1][1:]
-                    dirty = False
-                if front_count == front_size:
-                    covered = True
-                    break
-        else:
-            # the segment ran to its due record
-            if record_trajectory:
-                if records[-1][0] != t:  # not taken at a change
-                    if dirty:
-                        state.t = t
-                        rec = measure(state)
-                        tail = rec[1:]
-                        dirty = False
-                    else:
-                        rec = tuple_new(TrajectoryRecord, (t,) + tail)
-                    records.append(rec)
-                if t == next_tick:
-                    next_tick += period
-                if t == next_due:
-                    next_due = next(due, max_iters)
+            b = 1 << pos
+            if not mask & b:
+                mask |= b
+                k -= 1
+        y = parent ^ mask
+        key = y.bit_count()
+        if half_mask:
+            key += (y & half_mask).bit_count() * n1
+        fate = fate_get(key)
+        if fate is not None:
+            if fate >= 0:
+                xs[fate] = y
+                by_slot[slots[fate]] = y
+            continue
+        f1, f2 = values[key] if values else evaluate(y)
+        idx = bisect_left(f1s, f1)
+        if idx < m and f2s[idx] >= f2:
+            # weakly dominated: dropped, or at equal value (hence the
+            # same slot) it takes the member's place
+            if f2s[idx] == f2 and f1s[idx] == f1:
+                xs[idx] = y
+                by_slot[slots[idx]] = y
+                fates[key] = idx
+            else:
+                fates[key] = -1
+            continue
+        insert(y, f1, f2)
+        fates.clear()
+        m = len(xs)
+        mbits = (m - 1).bit_length()
+        if record_trajectory:
+            state.t = t
+            changes.append(measure(state))
+        if pop.front_count == front_size:
+            break
 
     state.t = t
     state.evaluations = t + 1 - idle
-    final = records[-1] if record_trajectory else measure(state)
+    final = changes[-1] if record_trajectory else measure(state)
     return TrialResult(
         benchmark=bspec.kind.value,
         n=bspec.n,
@@ -573,12 +553,13 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
         seed=seed,
         runtime_evals=state.evaluations,
         runtime_iters=t,
-        censored=not covered,
+        censored=pop.front_count != front_size,
         final_pop_size=final.pop_size,
         final_covered=final.covered,
         final_front_covered=final.front_covered,
         interior_init=interior_init,
-        trajectory=tuple(records),
+        trajectory=(_sample(changes, t, period, sample_at, max_iters)
+                    if record_trajectory else ()),
     )
 
 

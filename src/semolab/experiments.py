@@ -53,6 +53,9 @@ class Checkpoint:
             raise ValueError(f"checkpoint name must be non-empty, without "
                              f"';', ':', line breaks or surrounding "
                              f"whitespace, got {self.name!r}")
+        # an int would be written as "50" and read back as 50.0, an equal
+        # config with a different config_hash
+        object.__setattr__(self, "coefficient", float(self.coefficient))
 
     def iterations(self, n: int, k: Optional[int] = None) -> int:
         try:

@@ -145,6 +145,20 @@ class TestRun:
         assert run_cli(*base, "--max-iters", "0", "--out", str(zero)) == 0
         assert "max_iters=0\n" in (zero / "resolved-config.txt").read_text()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        base = ("run", "--benchmark", "omm", "--n", "8", "--trials", "2")
+        assert run_cli(*base, "--jobs", jobs,
+                       "--out", str(tmp_path / "flag")) == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"jobs={jobs}\n")
+        assert run_cli(*base, "--config", str(cfg),
+                       "--out", str(tmp_path / "file")) == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
+        assert not (tmp_path / "file").exists()
+
     def test_interior_init_flag(self, tmp_path, capsys):
         code = run_cli("run", "--benchmark", "ojzj", "--n", "10", "--k", "2",
                        "--trials", "2", "--interior-init", "on",

@@ -498,6 +498,109 @@ def test_run_until_cover_fingerprint():
     assert hashlib.sha256(repr(results).encode()).hexdigest() == FINGERPRINT
 
 
+def change_points(*points):
+    """Synthetic change points from (t, covered) pairs; every other field
+    differs between two points, so a record taken from the wrong one shows."""
+    return [engine.TrajectoryRecord(t, i + 1, i, None, 100 + i, covered,
+                                    covered / 10)
+            for i, (t, covered) in enumerate(points)]
+
+
+def replay_schedule(changes, end, period, sample_at, max_iters):
+    """Brute force: the state at each t <= end is the last change point at or
+    before t, and a record is taken wherever one is due."""
+    forced = {int(s) for s in sample_at if 0 < int(s) < max_iters}
+    records, prev = [], None
+    for t in range(end + 1):
+        state = [c for c in changes if c.t <= t][-1]
+        if (t in (0, end) or t % period == 0 or t in forced
+                or state.covered != prev.covered):
+            records.append(state._replace(t=t))
+        prev = state
+    return tuple(records)
+
+
+class TestSampleSchedule:
+    # (change points, end, period, sample_at, max_iters)
+    @pytest.mark.parametrize("points,end,period,sample_at,max_iters", [
+        # forced point on a period tick, and a change that leaves covered
+        (((0, 1), (3, 1), (7, 2)), 12, 5, (5, 9), 20),
+        # forced point at the end of the run
+        (((0, 1), (4, 2)), 10, 3, (10,), 20),
+        # forced points at and beyond the cutoff, run censored there
+        (((0, 1), (2, 2), (6, 2)), 20, 7, (19, 20, 25), 20),
+        # cutoff 0: the single record at t=0
+        (((0, 1),), 0, 5, (0, 1), 0),
+        # cutoff 1, with and without an insert at t=1
+        (((0, 1),), 1, 1000, (), 1),
+        (((0, 1), (1, 2)), 1, 1000, (1,), 1),
+        # a change of the covered count on a period tick
+        (((0, 1), (5, 2), (8, 3)), 11, 5, (), 50),
+        # the run ends at a change (the cover), off the period grid
+        (((0, 1), (4, 1), (9, 3)), 9, 4, (2,), 100),
+        # period 1 records every t
+        (((0, 1), (2, 2), (3, 2)), 6, 1, (4,), 6),
+    ])
+    def test_matches_replay(self, points, end, period, sample_at, max_iters):
+        changes = change_points(*points)
+        got = engine._sample(changes, end, period, sample_at, max_iters)
+        assert got == replay_schedule(changes, end, period, sample_at,
+                                      max_iters)
+        for rec in got:  # a record at a change point is that change point
+            if any(c.t == rec.t for c in changes):
+                assert any(rec is c for c in changes)
+
+    def test_matches_replay_random(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            max_iters = rng.randrange(0, 60)
+            end = rng.randrange(0, max_iters + 1)
+            ts = sorted(rng.sample(range(1, end + 1), rng.randrange(0, end + 1))
+                        if end else [])
+            covered = 1
+            points = [(0, covered)]
+            for t in ts:
+                covered += rng.random() < 0.4
+                points.append((t, covered))
+            changes = change_points(*points)
+            period = rng.randrange(1, 15)
+            sample_at = tuple(rng.randrange(0, 70)
+                              for _ in range(rng.randrange(0, 4)))
+            assert engine._sample(changes, end, period, sample_at,
+                                  max_iters) == replay_schedule(
+                changes, end, period, sample_at, max_iters)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_measure_once_per_insert(self, monkeypatch, record):
+        # with trajectories on, the loop measures at t=0 (after the first
+        # insert) and after every later insert, and nowhere else; with them
+        # off it measures the final state once
+        counts = {"insert": 0, "measure": 0}
+        real_insert, real_measure = Population.insert, engine.measure
+
+        def insert(self, *args):
+            counts["insert"] += 1
+            return real_insert(self, *args)
+
+        def counted_measure(*args, **kwargs):
+            counts["measure"] += 1
+            return real_measure(*args, **kwargs)
+
+        monkeypatch.setattr(Population, "insert", insert)
+        monkeypatch.setattr(engine, "measure", counted_measure)
+        for (kind, n, k, interior), alg_name, variant in itertools.product(
+                FINGERPRINT_CASES, ("semo", "gsemo"), ("original", "modified")):
+            alg = AlgorithmSpec.from_names(alg_name, variant, 3000)
+            for seed in range(2):
+                counts.update(insert=0, measure=0)
+                run_until_cover(BenchmarkSpec(kind, n, k), alg, seed,
+                                interior_init=interior,
+                                record_trajectory=record, sample_at=(1, 50))
+                assert counts["insert"] > 1
+                assert counts["measure"] == (counts["insert"] if record
+                                             else 1)
+
+
 class TestProcessLaws:
     def test_max_g1_monotone_and_z_reset(self):
         spec = BenchmarkSpec(Kind.COCZ, 12)

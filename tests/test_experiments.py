@@ -146,7 +146,7 @@ def configs(draw):
         shapes.append("n_pow_k1")
     checkpoints = draw(st.lists(st.builds(
         Checkpoint, checkpoint_names, st.sampled_from(shapes),
-        st.floats(0.0, 1e6)), max_size=3))
+        st.floats(0.0, 1e6) | st.integers(0, 10 ** 6)), max_size=3))
     return ExperimentConfig(
         benchmark, draw(st.sampled_from(["semo", "gsemo"])),
         draw(st.sampled_from(["original", "modified"])), tuple(ns),
