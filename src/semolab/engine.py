@@ -43,17 +43,19 @@ test in the suite. An iteration of the loop pays only for what it draws:
 * With trajectories on, the loop records change points only: ``measure``
   at t=0 and after each insert, the only place where a record's fields
   other than ``t`` can change, so no iteration tests a schedule.
-  ``_sample`` derives the sampled records from them when the run ends.
+  ``_sample`` derives the sampled records from them when the run ends,
+  with one step per change point.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple, Optional
 
 from . import calibration as cal
@@ -332,29 +334,30 @@ def step(state: RunState) -> RunState:
 
 
 def measure(state: RunState, record_slots: bool = False) -> TrajectoryRecord:
-    """Snapshot of the tracked processes, computed in one population pass."""
+    """Snapshot of the tracked processes. The run loop calls it once per
+    change point, and it reads the population through builtins only.
+
+    ``d_pf`` is the least of min(s, span - s) over the member slots, that
+    is min(min(slots), span - max(slots)). On cocz f1 + f2 = n/2 + 2*g1,
+    so the members of best cooperative level g1 are those of largest
+    f1 + f2.
+    """
     pop = state.pop
     kern = state.kernels
-    span = kern.slot_span
-    d_pf = min(min(s, span - s) for s in pop.slots)
+    slots = pop.slots
+    d_pf = min(min(slots), kern.slot_span - max(slots))
     if state.bspec.kind is Kind.COCZ:
-        half = state.n // 2
-        best, z = -1, 0
-        for f1, f2 in zip(pop.f1s, pop.f2s):
-            g1 = (f1 + f2 - half) >> 1
-            if g1 > best:
-                best, z = g1, 1
-            elif g1 == best:
-                z += 1
-        max_g1: Optional[int] = best
-        z_count: Optional[int] = z
+        sums = list(map(add, pop.f1s, pop.f2s))
+        top = max(sums)
+        max_g1: Optional[int] = (top - state.n // 2) >> 1
+        z_count: Optional[int] = sums.count(top)
     else:
         max_g1 = None
         z_count = None
     occupancy = None
     if record_slots:
         occupancy = 0
-        for s in pop.slots:
+        for s in slots:
             occupancy |= 1 << s
     covered = pop.front_count
     return TrajectoryRecord(t=state.t, pop_size=len(pop), max_g1=max_g1,
@@ -373,25 +376,50 @@ def _sample(changes: list[TrajectoryRecord], end: int, period: int,
             max_iters: int) -> tuple[TrajectoryRecord, ...]:
     """The sampled trajectory of a run that stopped at t = ``end``.
 
-    ``changes`` holds the run's change points in order of t: ``measure``
-    at t=0 and after every insert. Between two of them nothing a record
-    holds changes, so the state at t is the last change point at or
-    before t. A record is due at t=0, at every multiple of ``period``, at
-    every point of ``sample_at`` in (0, max_iters), at every change of
-    the covered count, and at ``end``, each only up to ``end``. A record
-    due at a change point is that change point; any other is the state
-    with ``t`` replaced.
+    ``changes`` holds the run's change points in strictly increasing t,
+    all at most ``end``: ``measure`` at t=0 and after every insert.
+    Between two of them nothing a record holds changes, so the state at t
+    is the last change point at or before t. A record is due at t=0, at
+    every multiple of ``period``, at every point of ``sample_at`` in
+    (0, max_iters), at every change of the covered count, and at ``end``,
+    each only up to ``end``. A record due at a change point is that
+    change point; any other is the state with ``t`` replaced.
+
+    The work is done once per change point: it walks the change points in
+    order and builds the records due before the next one from one shared
+    tail of fields.
     """
-    due = {0, end, *range(period, end + 1, period)}
-    due.update(s for s in map(int, sample_at) if 0 < s <= end and s < max_iters)
-    due.update(b.t for a, b in zip(changes, changes[1:])
-               if a.covered != b.covered)
-    ts = [c.t for c in changes]
-    records = []
-    for t in sorted(due):
-        rec = changes[bisect_right(ts, t) - 1]
-        records.append(rec if rec.t == t
-                       else TrajectoryRecord._make((t, *rec[1:])))
+    # the due points that are neither period ticks nor covered changes,
+    # ascending, then a stop past end
+    due = sorted({end, *(s for s in map(int, sample_at)
+                         if 0 < s <= end and s < max_iters)})
+    due.append(end + 1)
+    i = 0
+    new = tuple.__new__
+    records: list[TrajectoryRecord] = []
+    append = records.append
+    extend = records.extend
+    covered = changes[0].covered
+    stops = [c.t for c in changes[1:]]
+    stops.append(end + 1)
+    for rec, stop in zip(changes, stops):
+        t = rec.t
+        if due[i] == t:
+            i += 1
+            append(rec)
+        elif not t % period or rec.covered != covered:
+            append(rec)
+        covered = rec.covered
+        ticks = range(t - t % period + period, stop, period)
+        if due[i] < stop:
+            extra = []
+            while due[i] < stop:
+                extra.append(due[i])
+                i += 1
+            ticks = sorted({*ticks, *extra})
+        if ticks:
+            tail = rec[1:]
+            extend([new(TrajectoryRecord, (s,) + tail) for s in ticks])
     return tuple(records)
 
 

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import calibration as cal
@@ -141,6 +142,9 @@ class ExperimentConfig:
                 raise ValueError("ojzj grid needs at least one gap size")
         elif self.ks:
             raise ValueError(f"{self.benchmark} takes no gap sizes")
+        if len(set(self.ks)) != len(self.ks):
+            raise ValueError(f"gap sizes must be distinct, got k="
+                             f"{','.join(map(str, self.ks))}")
         if self.interior_init and self.benchmark != "ojzj":
             raise ValueError("interior initialization is ojzj-specific")
         for n, k in self.cells():
@@ -736,18 +740,29 @@ def write_trials_csv(results: Sequence[TrialResult], path) -> None:
 def write_trajectories_csv(results: Sequence[TrialResult], path) -> None:
     """One row per trajectory record, byte-identical to ``csv.writer``
     output (CRLF line ends; no field needs quoting), formatted directly
-    because a run can hold hundreds of thousands of records."""
+    because a run can hold hundreds of thousands of records.
+
+    The text after ``t`` is formatted once per change point: a record
+    whose fields equal the previous record's reuses that record's text.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for r in results:
             tid = trial_id(r)
-            fh.write("".join([
-                f"{tid},{t},{pop_size},"
-                f"{'' if max_g1 is None else max_g1},"
-                f"{'' if z_count is None else z_count},"
-                f"{d_pf},{front_covered!r}\r\n"
-                for t, pop_size, max_g1, z_count, d_pf, _, front_covered, _
-                in r.trajectory]))
+            rows: list[str] = []
+            append = rows.append
+            last = None
+            text = ""
+            for rec in r.trajectory:
+                fields = rec[1:]
+                if fields != last:
+                    last = fields
+                    _, pop_size, max_g1, z_count, d_pf, _, front_covered, _ = rec
+                    text = (f"{pop_size},{'' if max_g1 is None else max_g1},"
+                            f"{'' if z_count is None else z_count},"
+                            f"{d_pf},{front_covered!r}\r\n")
+                append(f"{tid},{rec[0]},{text}")
+            fh.write("".join(rows))
 
 
 def load_results(trials_path, trajectories_path=None, *,
@@ -755,61 +770,94 @@ def load_results(trials_path, trajectories_path=None, *,
     """Rebuild TrialResult objects from the CSV pipeline.
 
     The trials file is authoritative for runtimes; trajectory rows are
-    joined back by trial id. The interior-initialization flag is not part
-    of the file schema; every trial gets ``interior_init`` (None: unknown),
-    which the caller takes from the run's configuration.
+    joined back by trial id and sorted by t. The interior-initialization
+    flag is not part of the file schema; every trial gets
+    ``interior_init`` (None: unknown), which the caller takes from the
+    run's configuration. A malformed row, a repeated trial id in the
+    trials file or an unknown one in the trajectories file raises
+    ``ValueError`` naming the file and line.
+
+    The trajectories file is read in the unquoted form that
+    ``write_trajectories_csv`` writes, and its rows are parsed once per
+    change point: a row whose text after ``t`` equals the previous row's
+    of the same trial shares that row's fields.
     """
-    results: list[TrialResult] = []
+    by_id: dict[str, TrialResult] = {}
     with open(trials_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != TRIALS_COLUMNS:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != TRIALS_COLUMNS:
             raise ValueError(
                 f"{trials_path}: expected header {','.join(TRIALS_COLUMNS)}")
         for row in reader:
-            k = int(row["k"]) if row["k"] != "" else None
-            results.append(TrialResult(
-                benchmark=row["benchmark"], n=int(row["n"]), k=k,
-                algorithm=row["algorithm"], variant=row["variant"],
-                seed=int(row["seed"]),
-                runtime_evals=int(row["runtime_evals"]),
-                runtime_iters=int(row["runtime_iters"]),
-                censored=bool(int(row["censored"])),
-                final_pop_size=-1, final_covered=-1,
-                final_front_covered=float("nan"),
-                interior_init=interior_init, trajectory=()))
-    if not results:
-        raise ValueError(f"{trials_path}: no data rows")
-    if trajectories_path is None:
-        return results
-    by_id = {trial_id(r): r for r in results}
-    # trial id -> (front size, records); the front size is computed once
-    by_tid: dict[str, tuple[int, list[TrajectoryRecord]]] = {}
-    with open(trajectories_path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != TRAJECTORY_COLUMNS:
-            raise ValueError(f"{trajectories_path}: expected header "
-                             f"{','.join(TRAJECTORY_COLUMNS)}")
-        for row in reader:
             if not row:
                 continue
-            tid, t, pop_size, max_g1, z_count, d_pf, frac = row
-            entry = by_tid.get(tid)
-            if entry is None:
-                ref = by_id.get(tid)
-                if ref is None:
-                    raise ValueError(
-                        f"{trajectories_path}: unknown trial id {tid!r}")
-                entry = by_tid[tid] = (BenchmarkSpec(
-                    Kind(ref.benchmark), ref.n, ref.k).front_size, [])
-            front_size, recs = entry
-            front_covered = float(frac)
-            recs.append(TrajectoryRecord(
-                int(t), int(pop_size), int(max_g1) if max_g1 else None,
-                int(z_count) if z_count else None, int(d_pf),
-                round(front_covered * front_size), front_covered))
+            try:
+                if len(row) != len(TRIALS_COLUMNS):
+                    raise ValueError(f"expected {len(TRIALS_COLUMNS)} "
+                                     f"fields, got {len(row)}")
+                (benchmark, n, k, algorithm, variant, seed, runtime_evals,
+                 runtime_iters, censored) = row
+                result = TrialResult(
+                    benchmark=benchmark, n=int(n),
+                    k=int(k) if k != "" else None,
+                    algorithm=algorithm, variant=variant, seed=int(seed),
+                    runtime_evals=int(runtime_evals),
+                    runtime_iters=int(runtime_iters),
+                    censored=bool(int(censored)),
+                    final_pop_size=-1, final_covered=-1,
+                    final_front_covered=float("nan"),
+                    interior_init=interior_init, trajectory=())
+                tid = trial_id(result)
+                if tid in by_id:
+                    raise ValueError(f"repeated trial id {tid!r}")
+            except ValueError as exc:
+                raise ValueError(
+                    f"{trials_path}:{reader.line_num}: {exc}") from None
+            by_id[tid] = result
+    if not by_id:
+        raise ValueError(f"{trials_path}: no data rows")
+    if trajectories_path is None:
+        return list(by_id.values())
+    # trial id -> (front size, records); the front size is computed once
+    by_tid: dict[str, tuple[int, list[TrajectoryRecord]]] = {}
+    with open(trajectories_path) as fh:
+        if fh.readline().rstrip("\n") != ",".join(TRAJECTORY_COLUMNS):
+            raise ValueError(f"{trajectories_path}: expected header "
+                             f"{','.join(TRAJECTORY_COLUMNS)}")
+        lines = fh.read().split("\n")
+    new = tuple.__new__
+    tid = last = None
+    try:
+        for lineno, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            row_tid, t, rest = line.split(",", 2)
+            if row_tid != tid:
+                tid, last = row_tid, None
+                entry = by_tid.get(tid)
+                if entry is None:
+                    ref = by_id.get(tid)
+                    if ref is None:
+                        raise ValueError(f"unknown trial id {tid!r}")
+                    entry = by_tid[tid] = (BenchmarkSpec(
+                        Kind(ref.benchmark), ref.n, ref.k).front_size, [])
+                front_size, recs = entry
+                append = recs.append
+            if rest != last:
+                pop_size, max_g1, z_count, d_pf, frac = rest.split(",")
+                front_covered = float(frac)
+                tail = (int(pop_size), int(max_g1) if max_g1 else None,
+                        int(z_count) if z_count else None, int(d_pf),
+                        round(front_covered * front_size), front_covered,
+                        None)
+                last = rest
+            append(new(TrajectoryRecord, (int(t),) + tail))
+    except ValueError as exc:
+        raise ValueError(f"{trajectories_path}:{lineno}: {exc} in row "
+                         f"{line!r}") from None
     return [replace(r, trajectory=tuple(sorted(
-        by_tid.get(trial_id(r), (0, ()))[1], key=lambda rec: rec.t)))
-        for r in results]
+        by_tid.get(tid, (0, ()))[1], key=itemgetter(0))))
+        for tid, r in by_id.items()]
 
 
 def write_report_csv(reports: Sequence[HypothesisReport],

@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
-from semolab.cli import main
+from semolab.cli import _load_resolved_config, main
+from semolab.experiments import (load_results, run_grid,
+                                 write_trajectories_csv)
 
 
 def run_cli(*argv):
@@ -159,6 +161,20 @@ class TestRun:
         assert not (tmp_path / "flag").exists()
         assert not (tmp_path / "file").exists()
 
+    def test_repeated_gap_size_rejected(self, tmp_path, capsys):
+        base = ("run", "--benchmark", "ojzj", "--n", "10", "--trials", "2")
+        assert run_cli(*base, "--k", "2", "--k", "2",
+                       "--out", str(tmp_path / "flag")) == 2
+        assert "gap sizes must be distinct, got k=2,2" in \
+            capsys.readouterr().err
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("k=2,2\n")
+        assert run_cli(*base, "--config", str(cfg),
+                       "--out", str(tmp_path / "file")) == 2
+        assert "gap sizes must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
+        assert not (tmp_path / "file").exists()
+
     def test_interior_init_flag(self, tmp_path, capsys):
         code = run_cli("run", "--benchmark", "ojzj", "--n", "10", "--k", "2",
                        "--trials", "2", "--interior-init", "on",
@@ -230,6 +246,14 @@ class TestReport:
         assert code == 2
         assert "no data" in capsys.readouterr().err
 
+    def test_short_trials_row_diagnosed(self, tmp_path, capsys):
+        out = self.make_run(tmp_path)
+        with open(out / "trials.csv", "a") as fh:
+            fh.write("omm,8,,gsemo,original,5\n")
+        assert run_cli("report", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "trials.csv:6: expected 9 fields, got 6" in err
+
     def semo_ojzj_run(self, tmp_path, interior):
         out = tmp_path / f"semo-{interior}"
         code = run_cli("run", "--benchmark", "ojzj", "--n", "10", "--k", "2",
@@ -274,6 +298,30 @@ class TestReport:
         for name in ("resolved-config.txt", "trials.csv", "trajectories.csv"):
             with open(os.path.join(fixture, name), "rb") as fh:
                 assert (replay / name).read_bytes() == fh.read(), name
+
+    def test_period_two_ojzj_run_replays_and_round_trips(self, tmp_path):
+        """``data/ojzj-period2`` holds an ojzj run with trajectories written
+        by an earlier version of the CLI. Its sampling period is 2, so most
+        rows repeat the fields of the row before them: the CSV writer and
+        loader reuse those fields, and the replay and a load-and-rewrite
+        must both give the same bytes."""
+        fixture = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "data", "ojzj-period2")
+        replay = tmp_path / "replay"
+        assert run_cli("run", "--config",
+                       os.path.join(fixture, "resolved-config.txt"),
+                       "--out", str(replay)) == 0
+        for name in ("resolved-config.txt", "trials.csv", "trajectories.csv"):
+            with open(os.path.join(fixture, name), "rb") as fh:
+                assert (replay / name).read_bytes() == fh.read(), name
+        loaded = load_results(os.path.join(fixture, "trials.csv"),
+                              os.path.join(fixture, "trajectories.csv"))
+        assert [r.trajectory for r in loaded] == \
+            [r.trajectory for r in run_grid(_load_resolved_config(fixture))]
+        rewritten = tmp_path / "trajectories.csv"
+        write_trajectories_csv(loaded, rewritten)
+        assert rewritten.read_bytes() == \
+            (replay / "trajectories.csv").read_bytes()
 
     def test_equivalence_suite_and_negative_control(self, tmp_path, capsys):
         out = self.make_run(tmp_path)

@@ -272,6 +272,35 @@ class TestMeasure:
         assert rec.front_covered == 1.0
         assert rec.slot_occupancy == 0b11111
 
+    @pytest.mark.parametrize("kind,n,k,interior", [
+        (Kind.COCZ, 12, None, False), (Kind.COCZ, 20, None, False),
+        (Kind.OMM, 11, None, False), (Kind.OJZJ, 12, 3, False),
+        (Kind.OJZJ, 14, 2, True)])
+    def test_matches_per_member_recomputation(self, kind, n, k, interior):
+        spec = BenchmarkSpec(kind, n, k)
+        span = spec.slot_span
+        half = n // 2
+        for alg in (AlgorithmSpec.semo(), AlgorithmSpec.gsemo(modified=True)):
+            for seed in range(4):
+                state = init_state(spec, alg, seed, interior_init=interior)
+                for _ in range(400):
+                    pop = state.pop
+                    rec = measure(state)
+                    assert rec.pop_size == len(pop)
+                    assert rec.d_pf == min(min(s, span - s)
+                                           for s in pop.slots)
+                    if kind is Kind.COCZ:
+                        g1s = [(f1 + f2 - half) >> 1
+                               for f1, f2 in zip(pop.f1s, pop.f2s)]
+                        assert g1s == [(x & ((1 << half) - 1)).bit_count()
+                                       for x in pop.xs]
+                        assert rec.max_g1 == max(g1s)
+                        assert rec.z_count == g1s.count(max(g1s))
+                    else:
+                        assert rec.max_g1 is None and rec.z_count is None
+                    assert rec.covered == pop.front_count
+                    step(state)
+
     def test_non_cocz_has_no_g1_fields(self):
         state = init_state(BenchmarkSpec(Kind.OMM, 8), AlgorithmSpec.gsemo(),
                            seed=1)

@@ -72,6 +72,14 @@ class TestConfig:
             ExperimentConfig("cocz", "gsemo", "original", (8,), 2, 1,
                              interior_init=True)
 
+    def test_repeated_gap_size_rejected(self):
+        with pytest.raises(ValueError, match="gap sizes must be distinct, "
+                                             "got k=2,3,2"):
+            ExperimentConfig("ojzj", "gsemo", "original", (8,), 2, 1,
+                             ks=(2, 3, 2))
+        assert ExperimentConfig("ojzj", "gsemo", "original", (8,), 2, 1,
+                                ks=(3, 2)).cells() == [(8, 3), (8, 2)]
+
     def test_checkpoints(self):
         cp = Checkpoint("border", "n2_log", 0.001)
         assert cp.iterations(128) == int(0.001 * 128 * 128 * math.log(128))
@@ -552,6 +560,80 @@ class TestCsvPipeline:
             fh.write(b"omm-n8-gsemo-original-s1,0,1,,,4,0.1\r\n")
         with pytest.raises(ValueError, match="unknown trial id"):
             load_results(trials, trajs)
+
+    def test_short_trials_row_rejected(self, tmp_path):
+        trials, _ = self.omm_csvs(tmp_path)
+        with open(trials, "a") as fh:
+            fh.write("omm,8,,gsemo,original,5\n")
+        with pytest.raises(ValueError,
+                           match=r"trials\.csv:4: expected 9 fields, got 6"):
+            load_results(trials)
+
+    def test_repeated_trial_id_rejected(self, tmp_path):
+        trials, trajs = self.omm_csvs(tmp_path)
+        lines = trials.read_text().splitlines(keepends=True)
+        trials.write_text("".join(lines + lines[1:2]))
+        with pytest.raises(ValueError, match=r"trials\.csv:4: repeated trial "
+                                             r"id 'omm-n8-gsemo-original-s"):
+            load_results(trials, trajs)
+
+    @pytest.mark.parametrize("row", [
+        "{tid}",                    # too few fields
+        "{tid},6",
+        "{tid},6,2,,,3",
+        "{tid},6,2,,,3,0.25,9",     # too many fields
+        "{tid},6.0,2,,,3,0.25",     # t not an integer
+        "{tid},x,2,,,3,0.25",
+        "{tid},6,2,,,three,0.25",   # d_pf not an integer
+        "{tid},6,2,,,3.5,0.25",
+    ])
+    def test_malformed_trajectory_row_names_line(self, tmp_path, row):
+        trials, trajs = self.omm_csvs(tmp_path)
+        lines = trajs.read_bytes().split(b"\r\n")
+        tid = lines[1].split(b",")[0].decode()
+        lines.insert(3, row.format(tid=tid).encode())
+        trajs.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=r"trajectories\.csv:4: "):
+            load_results(trials, trajs)
+
+    def test_blank_trajectory_lines_skipped(self, tmp_path):
+        trials, trajs = self.omm_csvs(tmp_path)
+        expected = [r.trajectory for r in load_results(trials, trajs)]
+        data = trajs.read_bytes()
+        trajs.write_bytes(data.replace(b"\r\n", b"\r\n\r\n", 3) + b"\n\n")
+        assert [r.trajectory for r in load_results(trials, trajs)] == expected
+
+    def test_trajectory_rows_in_blocks_load_sorted(self, tmp_path):
+        trials, trajs = self.omm_csvs(tmp_path)
+        expected = [r.trajectory for r in load_results(trials, trajs)]
+        header, *rows = trajs.read_bytes().split(b"\r\n")[:-1]
+        tid = rows[0].split(b",")[0]
+        first = [row for row in rows if row.split(b",")[0] == tid]
+        other = [row for row in rows if row not in first]
+        assert len(first) > 3 and other
+        half = len(first) // 2
+        # the trial's later half first, the other trial between its blocks,
+        # and its earlier half reversed
+        shuffled = first[half:] + other + first[:half][::-1]
+        trajs.write_bytes(b"\r\n".join([header, *shuffled, b""]))
+        assert [r.trajectory for r in load_results(trials, trajs)] == expected
+
+    def test_equal_row_text_takes_each_trials_front_size(self, tmp_path):
+        # omm n=9 has 10 front values and n=19 has 20: the same row text
+        # says 5 covered in the first trial and 10 in the second
+        results = [synthetic(benchmark="omm", n=9, seed=1, runtime=50),
+                   synthetic(benchmark="omm", n=19, seed=2, runtime=50)]
+        trials = tmp_path / "trials.csv"
+        trajs = tmp_path / "trajectories.csv"
+        write_trials_csv(results, trials)
+        trajs.write_text(
+            "trial_id,t,pop_size,max_g1,z_count,d_pf,front_covered\n"
+            + "".join(f"{trial_id(r)},{t},3,,,2,0.5\n"
+                      for r in results for t in (0, 1)))
+        a, b = load_results(trials, trajs)
+        assert [rec.covered for rec in a.trajectory] == [5, 5]
+        assert [rec.covered for rec in b.trajectory] == [10, 10]
+        assert [rec.t for rec in b.trajectory] == [0, 1]
 
     def test_trial_ids_unique(self):
         config = ExperimentConfig("cocz", "gsemo", "original", (8,), 5, 0)
