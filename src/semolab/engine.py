@@ -21,7 +21,14 @@ only; both counters are reported.
 ``run_until_cover`` is the tuned inner loop (a run spends millions of
 iterations here); ``step`` is the readable reference implementation of a
 single iteration and the two are held together by an exact equivalence
-test in the suite. An iteration of the loop pays only for what it draws:
+test in the suite. The loop has two implementations that give the same
+bytes. Standard bit mutation (GSEMO) runs in ``_loop.c``, compiled on
+first use (see ``_loop``), which replays the run's Mersenne Twister
+word for word and hands every offspring that changes the value set back
+to ``Population.insert``. One-bit mutation (SEMO), and every run when the
+kernel cannot be built, takes ``_python_loop``. An iteration pays only
+for what it draws (the kernel keeps no memo of fates, because it
+evaluates an offspring faster than a memo could be read):
 
 * Zero-flip copies stop after their draws, omm and ojzj offspring read
   their objective pair from the per-spec table ``Kernels.values`` (cocz
@@ -440,29 +447,62 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     when the run ends. That is exact because ``measure`` reads nothing
     that an equal-value replacement changes.
 
-    Zero-flip copies of the parent are not evaluated, omm and ojzj values
-    are read from ``Kernels.values`` without a call, and offspring weakly
+    Zero-flip copies of the parent are not evaluated, and offspring weakly
     dominated by a member are not passed to ``Population.insert`` (one of
     equal value replaces that member in place). Only idle draws are
     counted: every other iteration created one offspring, so the
     evaluations after t iterations are t + 1 - idle, as ``step`` counts
     them.
 
-    The fate of an offspring is memoised per value class (its ones count,
-    plus its first-half count times n + 1 on cocz): -1 for dropped, the
-    member index for an equal-value replacement. A repeat of a class skips
-    the evaluation and the dominance test, and only does the replacement.
-    The memo is exact because a fate depends on nothing but the class's
-    objective pair and ``f1s``/``f2s``, which only an insert changes; it
-    is cleared after every insert and lives for one run.
+    Standard bit mutation runs in the compiled kernel of ``_loop`` when it
+    can be built, and one-bit mutation in ``_python_loop``; both draw the
+    same words from the run's generator in the same order, so the result
+    does not depend on which one ran. The kernel takes the generator
+    state and the members once, returns at every offspring that changes
+    the value set, and gives both back when the run ends; the inserts,
+    ``measure`` and the cover test stay here.
     """
     state = init_state(bspec, alg, seed, interior_init=interior_init,
                        slot_count_offset=slot_count_offset)
     max_iters = alg.cutoff(bspec)
     period = sample_every if sample_every else default_sample_period(bspec.n)
     # one record per change of the population's value set, t=0 first
-    changes = [measure(state)] if record_trajectory else []
+    changes = [measure(state)] if record_trajectory else None
+    lib = None
+    if alg.mutation is Mutation.STANDARD:
+        from . import _loop
+        lib = _loop.library()
+    if lib is None:
+        t, idle = _python_loop(state, max_iters, changes)
+    else:
+        t, idle = _loop.run(lib, state, max_iters, changes)
+    state.t = t
+    state.evaluations = t + 1 - idle
+    final = changes[-1] if record_trajectory else measure(state)
+    return TrialResult(
+        benchmark=bspec.kind.value,
+        n=bspec.n,
+        k=bspec.k,
+        algorithm=alg.algorithm_name,
+        variant=alg.variant_name,
+        seed=seed,
+        runtime_evals=state.evaluations,
+        runtime_iters=t,
+        censored=state.pop.front_count != state.kernels.front_size,
+        final_pop_size=final.pop_size,
+        final_covered=final.covered,
+        final_front_covered=final.front_covered,
+        interior_init=interior_init,
+        trajectory=(_sample(changes, t, period, sample_at, max_iters)
+                    if record_trajectory else ()),
+    )
 
+
+def _python_loop(state: RunState, max_iters: int,
+                 changes: Optional[list[TrajectoryRecord]]) -> tuple[int, int]:
+    """The run loop of ``run_until_cover`` in Python; returns the last
+    iteration and the idle draws. With ``changes`` a list, ``measure`` is
+    appended to it after every insert."""
     # hot loop: everything below is bound to locals on purpose, and index
     # draws inline the same getrandbits rejection scheme as _randbelow.
     # The first test of Population.insert is inlined too, so that only
@@ -477,6 +517,7 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     member_at_slot = by_slot.get
     insert = pop.insert
     kern = state.kernels
+    alg = state.alg
     evaluate = kern.evaluate
     values = kern.values
     half_mask = kern.half_mask
@@ -563,32 +604,12 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
         fates.clear()
         m = len(xs)
         mbits = (m - 1).bit_length()
-        if record_trajectory:
+        if changes is not None:
             state.t = t
             changes.append(measure(state))
         if pop.front_count == front_size:
             break
-
-    state.t = t
-    state.evaluations = t + 1 - idle
-    final = changes[-1] if record_trajectory else measure(state)
-    return TrialResult(
-        benchmark=bspec.kind.value,
-        n=bspec.n,
-        k=bspec.k,
-        algorithm=alg.algorithm_name,
-        variant=alg.variant_name,
-        seed=seed,
-        runtime_evals=state.evaluations,
-        runtime_iters=t,
-        censored=pop.front_count != front_size,
-        final_pop_size=final.pop_size,
-        final_covered=final.covered,
-        final_front_covered=final.front_covered,
-        interior_init=interior_init,
-        trajectory=(_sample(changes, t, period, sample_at, max_iters)
-                    if record_trajectory else ()),
-    )
+    return t, idle
 
 
 def run_offspring_budget(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int,

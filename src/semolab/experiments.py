@@ -770,7 +770,10 @@ def load_results(trials_path, trajectories_path=None, *,
     """Rebuild TrialResult objects from the CSV pipeline.
 
     The trials file is authoritative for runtimes; trajectory rows are
-    joined back by trial id and sorted by t. The interior-initialization
+    joined back by trial id and sorted by t, and the ``final_*`` fields
+    come from a trial's last record, the one at ``runtime_iters``. Without
+    trajectories they are -1, so that loaded trials compare equal when
+    their rows are. The interior-initialization
     flag is not part of the file schema; every trial gets
     ``interior_init`` (None: unknown), which the caller takes from the
     run's configuration. A malformed row, a repeated trial id in the
@@ -805,7 +808,7 @@ def load_results(trials_path, trajectories_path=None, *,
                     runtime_iters=int(runtime_iters),
                     censored=bool(int(censored)),
                     final_pop_size=-1, final_covered=-1,
-                    final_front_covered=float("nan"),
+                    final_front_covered=-1.0,
                     interior_init=interior_init, trajectory=())
                 tid = trial_id(result)
                 if tid in by_id:
@@ -855,9 +858,16 @@ def load_results(trials_path, trajectories_path=None, *,
     except ValueError as exc:
         raise ValueError(f"{trajectories_path}:{lineno}: {exc} in row "
                          f"{line!r}") from None
-    return [replace(r, trajectory=tuple(sorted(
-        by_tid.get(tid, (0, ()))[1], key=itemgetter(0))))
-        for tid, r in by_id.items()]
+    loaded = []
+    for tid, r in by_id.items():
+        records = tuple(sorted(by_tid.get(tid, (0, ()))[1], key=itemgetter(0)))
+        if records:
+            last = records[-1]
+            r = replace(r, final_pop_size=last.pop_size,
+                        final_covered=last.covered,
+                        final_front_covered=last.front_covered)
+        loaded.append(replace(r, trajectory=records))
+    return loaded
 
 
 def write_report_csv(reports: Sequence[HypothesisReport],

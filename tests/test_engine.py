@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from semolab import engine
+from semolab import _loop, engine
 from semolab.benchmarks import BenchmarkSpec, Kind
 from semolab.core import Individual, Population
 from semolab.engine import (AlgorithmSpec, Mutation, Selection, _flip_count_cdf,
@@ -424,9 +424,10 @@ class TestStepLoopEquivalence:
         # changing (semo started inside the ojzj gap region) check the
         # records it copies from its last measurement, and the short
         # schedule ends runs off the period grid right after inserts.
-        # The loop runs in segments between due records, so the schedules
-        # also put segment edges everywhere: period 1, a forced point on a
-        # period tick and one at the cutoff, and cutoffs 0 and 1
+        # The loop records change points only and _sample derives the
+        # records from them when the run ends, so the schedules also put
+        # due points at the edges of that derivation: period 1, a forced
+        # point on a period tick and one at the cutoff, and cutoffs 0 and 1
         spec = BenchmarkSpec(kind, n, k)
         schedules = ((3000, 5, (3, 11, 64)), (13, 1000, (4,)),
                      (300, 1, ()), (42, 5, (10, 42)), (0, 5, (0, 1)),
@@ -504,6 +505,15 @@ class TestStepLoopEquivalence:
             assert res.censored
 
 
+class TestStepLoopEquivalencePythonLoop(TestStepLoopEquivalence):
+    """The same oracles on the engine's Python loop, which runs where the
+    compiled loop cannot be built."""
+
+    @pytest.fixture(autouse=True)
+    def python_loop(self, monkeypatch):
+        monkeypatch.setattr(_loop, "library", lambda: None)
+
+
 # every benchmark, both start modes on ojzj, all four algorithm variants,
 # trajectories off and on; semo on ojzj and some modified runs are censored
 FINGERPRINT_CASES = [(Kind.COCZ, 16, None, False), (Kind.OMM, 15, None, False),
@@ -525,6 +535,11 @@ def test_run_until_cover_fingerprint():
                 spec, alg, seed, interior_init=interior,
                 record_trajectory=record, sample_at=(1, 2, 3, 50, 777)))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == FINGERPRINT
+
+
+def test_run_until_cover_fingerprint_python_loop(monkeypatch):
+    monkeypatch.setattr(_loop, "library", lambda: None)
+    test_run_until_cover_fingerprint()
 
 
 def change_points(*points):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semolab import _loop
 from semolab import calibration as cal
 from semolab.benchmarks import BenchmarkSpec, Kind
 from semolab.engine import TrajectoryRecord, TrialResult
@@ -540,6 +541,26 @@ class TestCsvPipeline:
         assert data.startswith(b"trial_id,t,pop_size,max_g1,z_count,d_pf,"
                                b"front_covered\r\n")
         assert hashlib.sha256(data).hexdigest() == CSV_FINGERPRINT
+
+    def test_trajectory_csv_fingerprint_python_loop(self, tmp_path,
+                                                    monkeypatch):
+        # the same bytes from the engine's Python loop
+        monkeypatch.setattr(_loop, "library", lambda: None)
+        self.test_trajectory_csv_fingerprint(tmp_path)
+
+    def test_loaded_trials_equal_the_run(self, tmp_path):
+        # the final fields come from the last record, the one at
+        # runtime_iters; without trajectories two loads still compare equal
+        for config in (
+                ExperimentConfig("cocz", "gsemo", "modified", (8, 10), 3, 2),
+                ExperimentConfig("ojzj", "semo", "original", (10,), 2, 2,
+                                 ks=(2,), interior_init=True,
+                                 max_iterations=300)):
+            results = run_grid(config)
+            trials, trajs = write_csvs(results, tmp_path)
+            assert load_results(trials, trajs,
+                                interior_init=config.interior_init) == results
+            assert load_results(trials) == load_results(trials)
 
     def omm_csvs(self, tmp_path):
         config = ExperimentConfig("omm", "gsemo", "original", (8,), 2, 0)
