@@ -325,24 +325,8 @@ def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
     slope, intercept = np.polyfit(x, y, 1)
     residuals = tuple(float(r) for r in (y - (slope * x + intercept)))
 
-    rng = np.random.default_rng(bootstrap_seed)
-    slopes = []
-    dropped = 0
-    for _ in range(bootstrap):
-        yb = []
-        ok = True
-        for n in ns:
-            values = by_n[n]
-            sample = rng.choice(values, size=len(values), replace=True)
-            med = float(np.median(sample))
-            if not math.isfinite(med):
-                ok = False
-                break
-            yb.append(math.log(med))
-        if not ok:
-            dropped += 1
-            continue
-        slopes.append(np.polyfit(x, np.array(yb), 1)[0])
+    slopes, dropped = _bootstrap_slopes(x, [by_n[n] for n in ns], bootstrap,
+                                        bootstrap_seed)
     if dropped > bootstrap // 5:
         raise ValueError(
             f"{dropped}/{bootstrap} bootstrap resamples had censored "
@@ -352,6 +336,46 @@ def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
                       exponent_ci=ci, constant=float(math.exp(intercept)),
                       residuals=residuals, n_grid=tuple(ns),
                       per_n_median=medians, per_n_iqr=iqrs)
+
+
+def _bootstrap_slopes(x, cells: list[list[float]], bootstrap: int,
+                      seed: int):
+    """Slopes of the log-median line over ``bootstrap`` resamples of the
+    cells, and how many resamples were dropped.
+
+    A resample draws each cell in turn, with replacement, from
+    ``default_rng(seed)``, and stops drawing at the first cell whose median
+    is not finite (a censored median); that resample is dropped. A drawn
+    cell is a set of positions in the sorted cell, so its median is read
+    from the sorted positions as ``np.median`` takes it (the middle value,
+    or the mean of the middle two). One ``polyfit`` fits every kept
+    resample.
+    """
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    integers = rng.integers
+    ranked = []
+    for values in cells:
+        order = np.argsort(values, kind="stable")
+        rank = np.empty(len(values), dtype=np.intp)
+        rank[order] = np.arange(len(values))
+        ranked.append((len(values), rank, np.asarray(values)[order].tolist()))
+    rows = []
+    for _ in range(bootstrap):
+        row = []
+        for m, rank, ordered in ranked:
+            pos = rank[integers(0, m, size=m)]
+            pos.sort()
+            mid = m // 2
+            med = (ordered[pos[mid]] if m % 2
+                   else (ordered[pos[mid - 1]] + ordered[pos[mid]]) / 2)
+            if not math.isfinite(med):
+                break
+            row.append(math.log(med))
+        else:
+            rows.append(row)
+    slopes = np.polyfit(x, np.array(rows).T, 1)[0] if rows else []
+    return slopes, bootstrap - len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,87 @@ class TestFitScaling:
         assert fit.per_n_iqr[8][0] <= fit.per_n_median[8] <= fit.per_n_iqr[8][1]
 
 
+def bootstrap_reference(x, cells, bootstrap, seed):
+    """The bootstrap as ``fit_scaling`` first wrote it: ``rng.choice`` and
+    ``np.median`` per resampled cell, one ``polyfit`` per resample."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    slopes = []
+    dropped = 0
+    for _ in range(bootstrap):
+        yb = []
+        for values in cells:
+            sample = rng.choice(values, size=len(values), replace=True)
+            med = float(np.median(sample))
+            if not math.isfinite(med):
+                break
+            yb.append(math.log(med))
+        else:
+            slopes.append(np.polyfit(x, np.array(yb), 1)[0])
+            continue
+        dropped += 1
+    return slopes, dropped
+
+
+def bootstrap_grid(sizes, censored, seed):
+    """Trials of cocz cells n = 8, 16, 32, ... with ``sizes[i]`` trials in
+    cell i, the first ``censored[i]`` of them censored."""
+    import random
+    rng = random.Random(seed)
+    results = []
+    for i, (size, cens) in enumerate(zip(sizes, censored)):
+        n = 8 << i
+        for t in range(size):
+            results.append(synthetic(n=n, runtime=float(rng.randint(
+                n * n, 4 * n * n)), censored=t < cens, seed=t))
+    return results
+
+
+class TestBootstrap:
+    """``fit_scaling``'s bootstrap against its first, per-resample form,
+    bit for bit: the slopes, the dropped count and ``exponent_ci``."""
+
+    GRIDS = [((5, 6, 7), (0, 0, 0)), ((8, 8, 8, 8), (0, 0, 0, 0)),
+             ((30, 30, 30), (0, 0, 0)), ((9, 8, 7), (0, 2, 1)),
+             ((8, 12, 8), (1, 2, 2))]
+
+    @pytest.mark.parametrize("sizes,censored", GRIDS)
+    @pytest.mark.parametrize("model", ["pure_poly", "poly_log"])
+    def test_matches_reference(self, sizes, censored, model):
+        import numpy as np
+        from semolab.bounds import reference_model
+        from semolab.experiments import _bootstrap_slopes
+        for seed in range(3):
+            results = bootstrap_grid(sizes, censored, seed)
+            ns = sorted({r.n for r in results})
+            cells = [[math.inf if r.censored else r.runtime_evals
+                      for r in results if r.n == n] for n in ns]
+            x = np.array([math.log(float(n) if model == "pure_poly"
+                                   else reference_model(Kind.COCZ, n, None))
+                          for n in ns])
+            slopes, dropped = _bootstrap_slopes(x, cells, 200, seed)
+            want, want_dropped = bootstrap_reference(x, cells, 200, seed)
+            assert dropped == want_dropped
+            assert [float(s).hex() for s in slopes] == \
+                [float(s).hex() for s in want]
+            if any(censored):
+                assert dropped > 0
+            fit = fit_scaling(results, model, bootstrap_seed=seed)
+            assert fit.exponent_ci == (float(np.quantile(want, 0.025)),
+                                       float(np.quantile(want, 0.975)))
+
+    def test_dropped_count_in_the_error(self):
+        import numpy as np
+        results = bootstrap_grid((8, 8, 8), (0, 3, 0), 0)
+        cells = [[math.inf if r.censored else r.runtime_evals
+                  for r in results if r.n == n] for n in (8, 16, 32)]
+        x = np.log([8.0, 16.0, 32.0])
+        _, dropped = bootstrap_reference(x, cells, 200, 0)
+        assert dropped > 40
+        with pytest.raises(ValueError, match=f"^{dropped}/200 bootstrap"):
+            fit_scaling(results)
+
+
 def spread_config(**kw):
     defaults = dict(benchmark="omm", algorithm="gsemo", variant="modified",
                     ns=(16,), trials=2, master_seed=0)

@@ -117,6 +117,65 @@ def test_cutoff_beyond_the_int64_range(monkeypatch, kernel):
         assert not compiled[0].censored
 
 
+def at_index(mti):
+    """A rig that moves the generator to position ``mti`` of its block."""
+    def rig(state):
+        version, internal, gauss = state.rng.getstate()
+        state.rng.setstate((version, internal[:624] + (mti,), gauss))
+    return rig
+
+
+@needs_compiler
+@pytest.mark.parametrize("mti", [0, 1, 300, 622, 623, 624])
+def test_run_starts_anywhere_in_the_block(monkeypatch, kernel, mti):
+    # the kernel tempers its block from the state it is given: at 0 it
+    # reads the first word, at 624 it twists first; under original
+    # selection a single member draws no parent, so at 623 the two words of
+    # the first random() straddle a twist, and under slot selection the
+    # slot draw comes first and 622 does the same
+    for (spec, interior), variant, cutoff in itertools.product(
+            specs(33) + specs(64), ("original", "modified"), (1, 5, 3000)):
+        alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+        args = (spec, alg, 3, at_index(mti))
+        compiled = outcome(monkeypatch, True, *args, interior_init=interior)
+        assert compiled == outcome(monkeypatch, False, *args,
+                                   interior_init=interior), (spec, alg)
+
+
+@needs_compiler
+def test_runs_resume_after_inserts_inside_a_block(monkeypatch, kernel):
+    # every insert hands control back to Python part way through a block
+    # of 624 words; cutoffs end runs between two inserts, between an
+    # insert and a twist, and at the insert that covers the front, after
+    # which the last splice is applied when the run ends
+    covered = set()
+    for n, cutoff, variant, mti in itertools.product(
+            (4, 8), range(1, 60), ("original", "modified"), (500, 610)):
+        spec = BenchmarkSpec(Kind.OMM, n)
+        alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+        compiled = outcome(monkeypatch, True, spec, alg, 2, at_index(mti))
+        assert compiled == outcome(monkeypatch, False, spec, alg, 2,
+                                   at_index(mti)), (n, cutoff, variant, mti)
+        covered.add(not compiled[0].censored)
+    assert covered == {False, True}
+
+
+@needs_compiler
+def test_tables_do_not_leak_between_kinds(monkeypatch, kernel):
+    # the read-only tables are cached per benchmark instance; omm, ojzj and
+    # cocz of one n share the flip-count distribution but not the values
+    # or the half mask, and must not be handed each other's
+    _loop.tables.cache_clear()
+    for n in (16, 64, 128):
+        for spec in (BenchmarkSpec(Kind.OMM, n), BenchmarkSpec(Kind.OJZJ, n, 2),
+                     BenchmarkSpec(Kind.COCZ, n), BenchmarkSpec(Kind.OJZJ, n, 3)):
+            alg = AlgorithmSpec.from_names("gsemo", "original", 20 * n * n)
+            for seed in range(2):
+                assert outcome(monkeypatch, True, spec, alg, seed) == \
+                    outcome(monkeypatch, False, spec, alg, seed), (spec, seed)
+    assert _loop.tables.cache_info().currsize == 12
+
+
 def untemper(y: int) -> int:
     """The Mersenne Twister state word whose output is y."""
     y ^= y >> 18
@@ -213,6 +272,23 @@ def test_pool_workers_build_a_cold_cache(cold_cache):
     assert [p.name for p in cold_cache.iterdir()] == [
         os.path.basename(_loop.library_path())]
     assert parallel == run_grid(config, jobs=1)
+
+
+@needs_compiler
+def test_a_build_removes_stale_libraries(cold_cache):
+    cold_cache.mkdir()
+    stale = cold_cache / "_loop-0000.so"
+    stale.write_bytes(b"an older build")
+    assert _loop.library() is not None
+    assert [p.name for p in cold_cache.iterdir()] == [
+        os.path.basename(_loop.library_path())]
+
+
+def test_cache_key_covers_the_flags(monkeypatch):
+    path = _loop.library_path()
+    monkeypatch.setattr(_loop, "CFLAGS", (*_loop.CFLAGS, "-g"))
+    assert _loop.library_path() != path
+    assert os.path.dirname(_loop.library_path()) == os.path.dirname(path)
 
 
 def fresh(code: str, *args: str) -> str:
