@@ -41,7 +41,7 @@ struct loop {
     int32_t slot_draw;       /* slot selection over [0, slot_draw); 0: uniform */
     int32_t m;               /* population size */
     int32_t f1, f2;          /* objective pair of `child` */
-    int32_t lo, hi, slot;    /* pending splice (see loop_splice); lo -1: none */
+    int32_t lo, hi, slot;    /* pending splice (loop_splice); lo -1: none */
     int64_t t, cutoff, idle; /* iteration counter, its cutoff, idle draws */
     const double *cdf;       /* n + 1 cumulative flip-count probabilities */
     const int32_t *values;   /* (f1, f2) by ones count, or NULL on cocz */

@@ -167,8 +167,10 @@ def test_tables_do_not_leak_between_kinds(monkeypatch, kernel):
     # or the half mask, and must not be handed each other's
     _loop.tables.cache_clear()
     for n in (16, 64, 128):
-        for spec in (BenchmarkSpec(Kind.OMM, n), BenchmarkSpec(Kind.OJZJ, n, 2),
-                     BenchmarkSpec(Kind.COCZ, n), BenchmarkSpec(Kind.OJZJ, n, 3)):
+        for spec in (BenchmarkSpec(Kind.OMM, n),
+                     BenchmarkSpec(Kind.OJZJ, n, 2),
+                     BenchmarkSpec(Kind.COCZ, n),
+                     BenchmarkSpec(Kind.OJZJ, n, 3)):
             alg = AlgorithmSpec.from_names("gsemo", "original", 20 * n * n)
             for seed in range(2):
                 assert outcome(monkeypatch, True, spec, alg, seed) == \
