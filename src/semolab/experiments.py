@@ -348,8 +348,10 @@ def _bootstrap_slopes(x, cells: list[list[float]], bootstrap: int,
     is not finite (a censored median); that resample is dropped. A drawn
     cell is a set of positions in the sorted cell, so its median is read
     from the sorted positions as ``np.median`` takes it (the middle value,
-    or the mean of the middle two). One ``polyfit`` fits every kept
-    resample.
+    or the mean of the middle two). Each kept resample gets its own
+    ``polyfit``, as one right-hand side: a batched fit may sum in another
+    order on another BLAS, and the slopes would then no longer match the
+    per-resample fit bit for bit.
     """
     import numpy as np
     rng = np.random.default_rng(seed)
@@ -360,7 +362,7 @@ def _bootstrap_slopes(x, cells: list[list[float]], bootstrap: int,
         rank = np.empty(len(values), dtype=np.intp)
         rank[order] = np.arange(len(values))
         ranked.append((len(values), rank, np.asarray(values)[order].tolist()))
-    rows = []
+    slopes = []
     for _ in range(bootstrap):
         row = []
         for m, rank, ordered in ranked:
@@ -372,10 +374,9 @@ def _bootstrap_slopes(x, cells: list[list[float]], bootstrap: int,
             if not math.isfinite(med):
                 break
             row.append(math.log(med))
-        else:
-            rows.append(row)
-    slopes = np.polyfit(x, np.array(rows).T, 1)[0] if rows else []
-    return slopes, bootstrap - len(rows)
+        if len(row) == len(ranked):
+            slopes.append(np.polyfit(x, np.array(row), 1)[0])
+    return slopes, bootstrap - len(slopes)
 
 
 # ---------------------------------------------------------------------------
