@@ -50,8 +50,13 @@ evaluates an offspring faster than a memo could be read):
 * With trajectories on, the loop records change points only: ``measure``
   at t=0 and after each insert, the only place where a record's fields
   other than ``t`` can change, so no iteration tests a schedule.
-  ``_sample`` derives the sampled records from them when the run ends,
+  ``_sample`` derives the sampled trajectory from them when the run ends,
   with one step per change point.
+
+A sampled trajectory is a ``Trajectory``: runs of equal records, one
+record and the ticks it holds at, so the records between two change
+points cost one int each. The CSV writer and loader work on the runs
+too; only a caller that iterates or indexes it sees one record per tick.
 """
 
 from __future__ import annotations
@@ -59,10 +64,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import add
+from operator import add, index as as_index
 from typing import NamedTuple, Optional
 
 from . import calibration as cal
@@ -223,7 +229,7 @@ class TrajectoryRecord(NamedTuple):
     the population's distance to the extremal front points. ``covered`` is
     the number of Pareto-front values present, ``front_covered`` the same
     as a fraction of the front size. A named tuple, because a run with
-    trajectories builds one per record.
+    trajectories builds one per change point.
     """
 
     t: int
@@ -236,9 +242,102 @@ class TrajectoryRecord(NamedTuple):
     slot_occupancy: Optional[int] = None
 
 
+_new = tuple.__new__
+
+
+class Trajectory(Sequence):
+    """A sampled trajectory stored as runs of equal records.
+
+    ``runs`` is a tuple of ``(record, ts)`` pairs: the fields of ``record``
+    after ``t`` hold at every t of ``ts``, an ascending tuple of ints, and
+    neighbouring runs differ in those fields, so equal sequences of
+    records have equal runs. A run records what changes once; its ticks
+    cost one int each.
+
+    As a sequence it is the tuple of its records in t order: iteration,
+    ``len``, indexing and slicing (a slice is a tuple) see one
+    record per tick, the stored record itself at its own t and a copy with
+    ``t`` replaced elsewhere. It compares equal to the tuple of its
+    records, hashes and prints as that tuple, and compares with another
+    ``Trajectory`` by fields and ticks.
+    """
+
+    __slots__ = ("runs", "_len")
+
+    def __init__(self, runs=()):
+        self.runs = tuple(runs)
+        self._len = sum(len(ts) for _, ts in self.runs)
+
+    @classmethod
+    def of(cls, records) -> "Trajectory":
+        """The trajectory of ``records``, given in ascending t."""
+        runs: list[tuple[TrajectoryRecord, list[int]]] = []
+        tail = None
+        last_t = None
+        for rec in records:
+            t = rec[0]
+            if last_t is not None and t < last_t:
+                raise ValueError(f"trajectory records out of t order: "
+                                 f"t={t} after t={last_t}")
+            last_t = t
+            if rec[1:] != tail:
+                tail = rec[1:]
+                runs.append((rec, []))
+            runs[-1][1].append(t)
+        return cls((rec, tuple(ts)) for rec, ts in runs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for rec, ts in self.runs:
+            own = rec[0]
+            tail = rec[1:]
+            for t in ts:
+                yield rec if t == own else _new(TrajectoryRecord, (t,) + tail)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        i = as_index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("trajectory index out of range")
+        for rec, ts in self.runs:
+            if i < len(ts):
+                t = ts[i]
+                return (rec if t == rec[0]
+                        else _new(TrajectoryRecord, (t,) + rec[1:]))
+            i -= len(ts)
+
+    def __eq__(self, other):
+        if isinstance(other, Trajectory):
+            return (self._len == other._len
+                    and len(self.runs) == len(other.runs)
+                    and all(a[1] == b[1] and a[0][1:] == b[0][1:]
+                            for a, b in zip(self.runs, other.runs)))
+        if isinstance(other, tuple):
+            return self._len == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+_NO_TRAJECTORY = Trajectory()
+
+
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of one run: runtimes, censoring, and sampled trajectory."""
+    """Outcome of one run: runtimes, censoring, and sampled trajectory.
+
+    ``trajectory`` is a ``Trajectory``; a tuple or list of records given
+    in its place is stored as one.
+    """
 
     benchmark: str
     n: int
@@ -253,7 +352,12 @@ class TrialResult:
     final_covered: int
     final_front_covered: float
     interior_init: bool = False
-    trajectory: tuple[TrajectoryRecord, ...] = field(default=())
+    trajectory: Trajectory = _NO_TRAJECTORY
+
+    def __post_init__(self):
+        if type(self.trajectory) is not Trajectory:
+            object.__setattr__(self, "trajectory",
+                               Trajectory.of(self.trajectory))
 
 
 class RunState:
@@ -367,10 +471,11 @@ def measure(state: RunState, record_slots: bool = False) -> TrajectoryRecord:
         for s in slots:
             occupancy |= 1 << s
     covered = pop.front_count
-    return TrajectoryRecord(t=state.t, pop_size=len(pop), max_g1=max_g1,
-                            z_count=z_count, d_pf=d_pf, covered=covered,
-                            front_covered=covered / kern.front_size,
-                            slot_occupancy=occupancy)
+    # positional: building a named tuple from keywords costs several times
+    # as much, once per change point
+    return _new(TrajectoryRecord, (state.t, len(pop), max_g1, z_count, d_pf,
+                                   covered, covered / kern.front_size,
+                                   occupancy))
 
 
 def default_sample_period(n: int) -> int:
@@ -379,8 +484,7 @@ def default_sample_period(n: int) -> int:
 
 
 def _sample(changes: list[TrajectoryRecord], end: int, period: int,
-            sample_at: tuple[int, ...],
-            max_iters: int) -> tuple[TrajectoryRecord, ...]:
+            sample_at: tuple[int, ...], max_iters: int) -> Trajectory:
     """The sampled trajectory of a run that stopped at t = ``end``.
 
     ``changes`` holds the run's change points in strictly increasing t,
@@ -392,9 +496,10 @@ def _sample(changes: list[TrajectoryRecord], end: int, period: int,
     each only up to ``end``. A record due at a change point is that
     change point; any other is the state with ``t`` replaced.
 
-    The work is done once per change point: it walks the change points in
-    order and builds the records due before the next one from one shared
-    tail of fields.
+    The work is done once per change point: each change point with a due
+    point gives one run of the trajectory, its record and the due points
+    before the next change point, merged into the run before it when
+    their fields are equal. No record is built per tick.
     """
     # the due points that are neither period ticks nor covered changes,
     # ascending, then a stop past end
@@ -402,20 +507,19 @@ def _sample(changes: list[TrajectoryRecord], end: int, period: int,
                          if 0 < s <= end and s < max_iters)})
     due.append(end + 1)
     i = 0
-    new = tuple.__new__
-    records: list[TrajectoryRecord] = []
-    append = records.append
-    extend = records.extend
+    runs: list[tuple[TrajectoryRecord, list[int]]] = []
+    fields = None
+    ts: list[int] = []
     covered = changes[0].covered
     stops = [c.t for c in changes[1:]]
     stops.append(end + 1)
     for rec, stop in zip(changes, stops):
-        t = rec.t
+        t = rec[0]
         if due[i] == t:
             i += 1
-            append(rec)
-        elif not t % period or rec.covered != covered:
-            append(rec)
+            at_change = True
+        else:
+            at_change = not t % period or rec.covered != covered
         covered = rec.covered
         ticks = range(t - t % period + period, stop, period)
         if due[i] < stop:
@@ -424,10 +528,16 @@ def _sample(changes: list[TrajectoryRecord], end: int, period: int,
                 extra.append(due[i])
                 i += 1
             ticks = sorted({*ticks, *extra})
-        if ticks:
-            tail = rec[1:]
-            extend([new(TrajectoryRecord, (s,) + tail) for s in ticks])
-    return tuple(records)
+        if not (at_change or ticks):
+            continue
+        if rec[1:] != fields:
+            fields = rec[1:]
+            ts = []
+            runs.append((rec, ts))
+        if at_change:
+            ts.append(t)
+        ts.extend(ticks)
+    return Trajectory((rec, tuple(ts)) for rec, ts in runs)
 
 
 def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
@@ -443,9 +553,9 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     (default ceil(n^2/200)), whenever the covered-front count changes, at
     every iteration listed in ``sample_at``, and at termination. The loop
     itself keeps no schedule: it calls ``measure`` at t=0 and after every
-    insert, and ``_sample`` builds the records from these change points
-    when the run ends. That is exact because ``measure`` reads nothing
-    that an equal-value replacement changes.
+    insert, and ``_sample`` builds the trajectory's runs from these change
+    points when the run ends. That is exact because ``measure`` reads
+    nothing that an equal-value replacement changes.
 
     Zero-flip copies of the parent are not evaluated, and offspring weakly
     dominated by a member are not passed to ``Population.insert`` (one of
@@ -494,7 +604,7 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
         final_front_covered=final.front_covered,
         interior_init=interior_init,
         trajectory=(_sample(changes, t, period, sample_at, max_iters)
-                    if record_trajectory else ()),
+                    if record_trajectory else _NO_TRAJECTORY),
     )
 
 

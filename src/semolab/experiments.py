@@ -22,14 +22,16 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from itertools import takewhile
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import calibration as cal
 from .benchmarks import BenchmarkSpec, Kind
 from .bounds import growth_law, reference_model
-from .engine import (AlgorithmSpec, TrajectoryRecord, TrialResult, measure,
-                     run_offspring_budget, run_until_cover)
+from .engine import (AlgorithmSpec, Trajectory, TrajectoryRecord,
+                     TrialResult, measure, run_offspring_budget,
+                     run_until_cover)
 
 MAX_ITERATION_LIMIT = 2 ** 62  # cells beyond this are rejected up front
 
@@ -457,8 +459,8 @@ def check_front_spread(results: Sequence[TrialResult],
         budget = int(growth_law("n2", n, coefficient=coefficient))
         passes = 0
         for r in group:
-            hit = next((rec.t for rec in r.trajectory if rec.covered >= need),
-                       None)
+            hit = next((ts[0] for rec, ts in r.trajectory.runs
+                        if rec.covered >= need), None)
             if hit is not None and hit <= budget:
                 passes += 1
         cells.append(CellOutcome(label, passes, len(group), threshold,
@@ -491,7 +493,9 @@ def check_border_distance(results: Sequence[TrialResult],
             bar = max(bar, float(k))
         passes = 0
         for r in group:
-            worst = min(rec.d_pf for rec in r.trajectory if rec.t <= horizon)
+            # runs are in t order: the first past the horizon ends the scan
+            worst = min(rec.d_pf for rec, ts in takewhile(
+                lambda run: run[1][0] <= horizon, r.trajectory.runs))
             if worst >= bar:
                 passes += 1
         cells.append(CellOutcome(label, passes, len(group), threshold,
@@ -767,26 +771,21 @@ def write_trajectories_csv(results: Sequence[TrialResult], path) -> None:
     output (CRLF line ends; no field needs quoting), formatted directly
     because a run can hold hundreds of thousands of records.
 
-    The text after ``t`` is formatted once per change point: a record
-    whose fields equal the previous record's reuses that record's text.
+    The work is done once per run of the trajectory: its text after ``t``
+    is formatted once, and its rows are one join over its ticks.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for r in results:
-            tid = trial_id(r)
+            prefix = trial_id(r) + ","
             rows: list[str] = []
             append = rows.append
-            last = None
-            text = ""
-            for rec in r.trajectory:
-                fields = rec[1:]
-                if fields != last:
-                    last = fields
-                    _, pop_size, max_g1, z_count, d_pf, _, front_covered, _ = rec
-                    text = (f"{pop_size},{'' if max_g1 is None else max_g1},"
-                            f"{'' if z_count is None else z_count},"
-                            f"{d_pf},{front_covered!r}\r\n")
-                append(f"{tid},{rec[0]},{text}")
+            for rec, ts in r.trajectory.runs:
+                _, pop_size, max_g1, z_count, d_pf, _, front_covered, _ = rec
+                text = (f",{pop_size},{'' if max_g1 is None else max_g1},"
+                        f"{'' if z_count is None else z_count},"
+                        f"{d_pf},{front_covered!r}\r\n")
+                append(prefix + (text + prefix).join(map(str, ts)) + text)
             fh.write("".join(rows))
 
 
@@ -795,20 +794,22 @@ def load_results(trials_path, trajectories_path=None, *,
     """Rebuild TrialResult objects from the CSV pipeline.
 
     The trials file is authoritative for runtimes; trajectory rows are
-    joined back by trial id and sorted by t, and the ``final_*`` fields
-    come from a trial's last record, the one at ``runtime_iters``. Without
-    trajectories they are -1, so that loaded trials compare equal when
-    their rows are. The interior-initialization
+    joined back by trial id and sorted stably by t when a trial's rows are
+    out of order, and the ``final_*`` fields come from a trial's last
+    record. Without trajectories they are -1, so that loaded trials
+    compare equal when their rows are. The interior-initialization
     flag is not part of the file schema; every trial gets
     ``interior_init`` (None: unknown), which the caller takes from the
     run's configuration. A malformed row, a repeated trial id in the
     trials file or an unknown one in the trajectories file raises
-    ``ValueError`` naming the file and line.
+    ``ValueError`` naming the file and line. A trial whose rows are
+    missing or do not end at its ``runtime_iters``, as in a file cut
+    short, raises ``ValueError`` naming the file and the trial.
 
-    The trajectories file is read in the unquoted form that
+    The trajectories file is read line by line in the unquoted form that
     ``write_trajectories_csv`` writes, and its rows are parsed once per
-    change point: a row whose text after ``t`` equals the previous row's
-    of the same trial shares that row's fields.
+    run of equal records: a row whose text after ``t`` equals the
+    previous row's of the same trial adds only its t to that row's run.
     """
     by_id: dict[str, TrialResult] = {}
     with open(trials_path, newline="") as fh:
@@ -834,7 +835,7 @@ def load_results(trials_path, trajectories_path=None, *,
                     censored=bool(int(censored)),
                     final_pop_size=-1, final_covered=-1,
                     final_front_covered=-1.0,
-                    interior_init=interior_init, trajectory=())
+                    interior_init=interior_init)
                 tid = trial_id(result)
                 if tid in by_id:
                     raise ValueError(f"repeated trial id {tid!r}")
@@ -846,52 +847,70 @@ def load_results(trials_path, trajectories_path=None, *,
         raise ValueError(f"{trials_path}: no data rows")
     if trajectories_path is None:
         return list(by_id.values())
-    # trial id -> (front size, records); the front size is computed once
-    by_tid: dict[str, tuple[int, list[TrajectoryRecord]]] = {}
+    # trial id -> (front size, runs); a run is (fields after t, ticks), and
+    # the front size is computed once per trial
+    by_tid: dict[str, tuple[int, list[tuple[tuple, list[int]]]]] = {}
+    tid = text = None
+    lineno, line = 1, ""
     with open(trajectories_path) as fh:
         if fh.readline().rstrip("\n") != ",".join(TRAJECTORY_COLUMNS):
             raise ValueError(f"{trajectories_path}: expected header "
                              f"{','.join(TRAJECTORY_COLUMNS)}")
-        lines = fh.read().split("\n")
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                if line == "\n":
+                    continue
+                row_tid, t, rest = line.split(",", 2)
+                if row_tid != tid:
+                    tid, text = row_tid, None
+                    entry = by_tid.get(tid)
+                    if entry is None:
+                        ref = by_id.get(tid)
+                        if ref is None:
+                            raise ValueError(f"unknown trial id {tid!r}")
+                        entry = by_tid[tid] = (BenchmarkSpec(
+                            Kind(ref.benchmark), ref.n, ref.k).front_size, [])
+                    front_size, runs = entry
+                if rest != text:
+                    pop_size, max_g1, z_count, d_pf, frac = rest.split(",")
+                    front_covered = float(frac)
+                    tail = (int(pop_size), int(max_g1) if max_g1 else None,
+                            int(z_count) if z_count else None, int(d_pf),
+                            round(front_covered * front_size), front_covered,
+                            None)
+                    text = rest
+                    if not runs or runs[-1][0] != tail:
+                        runs.append((tail, []))
+                    append = runs[-1][1].append
+                append(int(t))
+        except ValueError as exc:
+            raise ValueError(f"{trajectories_path}:{lineno}: {exc} in row "
+                             f"{line.rstrip(chr(10))!r}") from None
     new = tuple.__new__
-    tid = last = None
-    try:
-        for lineno, line in enumerate(lines, start=2):
-            if not line:
-                continue
-            row_tid, t, rest = line.split(",", 2)
-            if row_tid != tid:
-                tid, last = row_tid, None
-                entry = by_tid.get(tid)
-                if entry is None:
-                    ref = by_id.get(tid)
-                    if ref is None:
-                        raise ValueError(f"unknown trial id {tid!r}")
-                    entry = by_tid[tid] = (BenchmarkSpec(
-                        Kind(ref.benchmark), ref.n, ref.k).front_size, [])
-                front_size, recs = entry
-                append = recs.append
-            if rest != last:
-                pop_size, max_g1, z_count, d_pf, frac = rest.split(",")
-                front_covered = float(frac)
-                tail = (int(pop_size), int(max_g1) if max_g1 else None,
-                        int(z_count) if z_count else None, int(d_pf),
-                        round(front_covered * front_size), front_covered,
-                        None)
-                last = rest
-            append(new(TrajectoryRecord, (int(t),) + tail))
-    except ValueError as exc:
-        raise ValueError(f"{trajectories_path}:{lineno}: {exc} in row "
-                         f"{line!r}") from None
     loaded = []
     for tid, r in by_id.items():
-        records = tuple(sorted(by_tid.get(tid, (0, ()))[1], key=itemgetter(0)))
-        if records:
-            last = records[-1]
-            r = replace(r, final_pop_size=last.pop_size,
-                        final_covered=last.covered,
-                        final_front_covered=last.front_covered)
-        loaded.append(replace(r, trajectory=records))
+        runs = by_tid.get(tid, (0, ()))[1]
+        if not runs:
+            raise ValueError(f"{trajectories_path}: no rows for trial "
+                             f"{tid!r}; the file is truncated")
+        if (all(ts == sorted(ts) for _, ts in runs)
+                and all(a[1][-1] <= b[1][0] for a, b in zip(runs, runs[1:]))):
+            trajectory = Trajectory(
+                (new(TrajectoryRecord, (ts[0],) + tail), tuple(ts))
+                for tail, ts in runs)
+        else:
+            trajectory = Trajectory.of(sorted(
+                (new(TrajectoryRecord, (t,) + tail)
+                 for tail, ts in runs for t in ts), key=itemgetter(0)))
+        last, ts = trajectory.runs[-1]
+        if ts[-1] != r.runtime_iters:
+            raise ValueError(
+                f"{trajectories_path}: the rows of trial {tid!r} end at "
+                f"t={ts[-1]}, but the trial ran to t={r.runtime_iters}; "
+                "the file is truncated")
+        loaded.append(replace(
+            r, final_pop_size=last.pop_size, final_covered=last.covered,
+            final_front_covered=last.front_covered, trajectory=trajectory))
     return loaded
 
 

@@ -254,6 +254,15 @@ class TestReport:
         err = capsys.readouterr().err
         assert "trials.csv:6: expected 9 fields, got 6" in err
 
+    def test_truncated_trajectories_diagnosed(self, tmp_path, capsys):
+        out = self.make_run(tmp_path)
+        rows = (out / "trajectories.csv").read_bytes().split(b"\r\n")
+        (out / "trajectories.csv").write_bytes(b"\r\n".join(rows[:-2]))
+        assert run_cli("report", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "trajectories.csv: the rows of trial 'cocz-n16-" in err
+        assert "the file is truncated" in err
+
     def semo_ojzj_run(self, tmp_path, interior):
         out = tmp_path / f"semo-{interior}"
         code = run_cli("run", "--benchmark", "ojzj", "--n", "10", "--k", "2",

@@ -17,6 +17,8 @@ from semolab.engine import (AlgorithmSpec, Mutation, Selection, _flip_count_cdf,
                             mutate_one_bit, mutate_standard,
                             run_offspring_budget, run_until_cover,
                             select_parent_slot, select_parent_uniform, step)
+from semolab.experiments import (load_results, write_trajectories_csv,
+                                 write_trials_csv)
 
 
 class ScriptedRng:
@@ -564,6 +566,26 @@ def replay_schedule(changes, end, period, sample_at, max_iters):
     return tuple(records)
 
 
+def random_schedules():
+    """300 random (change points, end, period, sample_at, max_iters)."""
+    rng = random.Random(7)
+    for _ in range(300):
+        max_iters = rng.randrange(0, 60)
+        end = rng.randrange(0, max_iters + 1)
+        ts = sorted(rng.sample(range(1, end + 1), rng.randrange(0, end + 1))
+                    if end else [])
+        covered = 1
+        points = [(0, covered)]
+        for t in ts:
+            covered += rng.random() < 0.4
+            points.append((t, covered))
+        changes = change_points(*points)
+        period = rng.randrange(1, 15)
+        sample_at = tuple(rng.randrange(0, 70)
+                          for _ in range(rng.randrange(0, 4)))
+        yield changes, end, period, sample_at, max_iters
+
+
 class TestSampleSchedule:
     # (change points, end, period, sample_at, max_iters)
     @pytest.mark.parametrize("points,end,period,sample_at,max_iters", [
@@ -595,21 +617,7 @@ class TestSampleSchedule:
                 assert any(rec is c for c in changes)
 
     def test_matches_replay_random(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            max_iters = rng.randrange(0, 60)
-            end = rng.randrange(0, max_iters + 1)
-            ts = sorted(rng.sample(range(1, end + 1), rng.randrange(0, end + 1))
-                        if end else [])
-            covered = 1
-            points = [(0, covered)]
-            for t in ts:
-                covered += rng.random() < 0.4
-                points.append((t, covered))
-            changes = change_points(*points)
-            period = rng.randrange(1, 15)
-            sample_at = tuple(rng.randrange(0, 70)
-                              for _ in range(rng.randrange(0, 4)))
+        for changes, end, period, sample_at, max_iters in random_schedules():
             assert engine._sample(changes, end, period, sample_at,
                                   max_iters) == replay_schedule(
                 changes, end, period, sample_at, max_iters)
@@ -637,12 +645,133 @@ class TestSampleSchedule:
             alg = AlgorithmSpec.from_names(alg_name, variant, 3000)
             for seed in range(2):
                 counts.update(insert=0, measure=0)
-                run_until_cover(BenchmarkSpec(kind, n, k), alg, seed,
-                                interior_init=interior,
-                                record_trajectory=record, sample_at=(1, 50))
+                res = run_until_cover(BenchmarkSpec(kind, n, k), alg, seed,
+                                      interior_init=interior,
+                                      record_trajectory=record,
+                                      sample_at=(1, 50))
                 assert counts["insert"] > 1
                 assert counts["measure"] == (counts["insert"] if record
                                              else 1)
+                # the trajectory is stored per change point, not per tick
+                assert len(res.trajectory.runs) <= counts["insert"] + 2
+
+
+def omm9_trial(trajectory, end):
+    """A trial of omm n=9 (10 front values, as ``change_points`` assumes)
+    that ran to t = ``end``."""
+    return engine.TrialResult(
+        benchmark="omm", n=9, k=None, algorithm="gsemo", variant="original",
+        seed=0, runtime_evals=end + 1, runtime_iters=end, censored=False,
+        final_pop_size=1, final_covered=1, final_front_covered=0.1,
+        trajectory=trajectory)
+
+
+def write_and_load(results, directory):
+    trials = directory / "trials.csv"
+    trajs = directory / "trajectories.csv"
+    write_trials_csv(results, trials)
+    write_trajectories_csv(results, trajs)
+    return [r.trajectory for r in load_results(trials, trajs)]
+
+
+def record_of(t, pop_size, d_pf, covered):
+    return engine.TrajectoryRecord(t, pop_size, None, None, d_pf, covered,
+                                   covered / 10)
+
+
+# change points of which neighbours share their fields (t=0 and 2, t=5 and
+# 6) or differ only in the covered count (t=6 and 9)
+MERGING_CHANGES = [record_of(0, 1, 3, 1), record_of(2, 1, 3, 1),
+                   record_of(5, 2, 3, 2), record_of(6, 2, 3, 2),
+                   record_of(9, 2, 3, 3)]
+# (end, period, sample_at, max_iters) of the run they end
+MERGING_RUN = (12, 4, (3,), 20)
+
+
+class TestTrajectory:
+    def merged(self):
+        return engine._sample(MERGING_CHANGES, *MERGING_RUN)
+
+    def test_equal_neighbours_share_a_run(self, tmp_path):
+        traj = self.merged()
+        records = replay_schedule(MERGING_CHANGES, *MERGING_RUN)
+        assert traj == records
+        assert [ts for _, ts in traj.runs] == [(0, 3, 4), (5, 8), (9, 12)]
+        assert [rec.t for rec, _ in traj.runs] == [0, 5, 9]
+        (loaded,) = write_and_load([omm9_trial(traj, 12)], tmp_path)
+        assert loaded == traj
+        assert loaded.runs == traj.runs
+
+    def test_run_with_merged_change_points_loads_back(self, tmp_path,
+                                                      monkeypatch):
+        # cocz n=64 runs have neighbouring change points with equal fields
+        seen = []
+        real_sample = engine._sample
+
+        def sample(changes, *args):
+            seen.append((changes, args))
+            return real_sample(changes, *args)
+
+        monkeypatch.setattr(engine, "_sample", sample)
+        spec = BenchmarkSpec(Kind.COCZ, 64)
+        results = [run_until_cover(spec, AlgorithmSpec.gsemo(modified=True),
+                                   seed) for seed in range(3)]
+        assert any(a[1:] == b[1:] for changes, _ in seen
+                   for a, b in zip(changes, changes[1:]))
+        for res, (changes, args) in zip(results, seen):
+            assert res.trajectory == replay_schedule(changes, *args)
+        assert write_and_load(results, tmp_path) == \
+            [r.trajectory for r in results]
+
+    def test_round_trip_random_schedules(self, tmp_path):
+        for changes, end, period, sample_at, max_iters in random_schedules():
+            traj = engine._sample(changes, end, period, sample_at, max_iters)
+            (loaded,) = write_and_load([omm9_trial(traj, end)], tmp_path)
+            assert loaded == traj
+            assert tuple(loaded) == tuple(traj)
+
+    def test_tuple_equality_and_hash(self):
+        traj = self.merged()
+        records = tuple(traj)
+        assert traj == records and records == traj
+        assert not traj != records and not records != traj
+        assert traj != records[:-1] and records[:-1] != traj
+        assert traj != list(records)
+        assert hash(traj) == hash(records)
+        assert engine.Trajectory.of(records) == traj
+        assert engine.Trajectory.of(records[1:]) != traj
+        moved = records[:-1] + (records[-1]._replace(d_pf=4),)
+        assert engine.Trajectory.of(moved) != traj
+        trial = omm9_trial(traj, 12)
+        assert omm9_trial(list(records), 12) == trial
+        assert hash(omm9_trial(records, 12)) == hash(trial)
+        assert type(omm9_trial(records, 12).trajectory) is engine.Trajectory
+
+    def test_indexing(self):
+        traj = self.merged()
+        records = replay_schedule(MERGING_CHANGES, *MERGING_RUN)
+        assert len(traj) == len(records) == 7
+        assert [traj[i] for i in range(-7, 7)] == list(records * 2)
+        for i in (7, -8, 100):
+            with pytest.raises(IndexError):
+                traj[i]
+        with pytest.raises(TypeError):
+            traj["1"]
+        assert traj[2:5] == records[2:5]
+        assert traj[::-1] == records[::-1]
+        assert traj[0] is MERGING_CHANGES[0]
+        assert traj[3] is MERGING_CHANGES[2]
+
+    def test_repr_is_the_tuples(self):
+        traj = self.merged()
+        assert repr(traj) == repr(tuple(traj))
+        assert repr(engine.Trajectory()) == "()"
+        assert not engine.Trajectory() and len(engine.Trajectory()) == 0
+
+    def test_records_out_of_order_rejected(self):
+        records = tuple(self.merged())
+        with pytest.raises(ValueError, match="t order"):
+            engine.Trajectory.of(records[::-1])
 
 
 class TestProcessLaws:

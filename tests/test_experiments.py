@@ -720,11 +720,31 @@ class TestCsvPipeline:
         trajs.write_bytes(b"\r\n".join([header, *shuffled, b""]))
         assert [r.trajectory for r in load_results(trials, trajs)] == expected
 
+    def test_truncated_trajectories_rejected(self, tmp_path):
+        # a file cut after whole rows: the last trial's rows end before its
+        # runtime_iters, or it has none left
+        trials, trajs = self.omm_csvs(tmp_path)
+        header, *rows = trajs.read_bytes().split(b"\r\n")[:-1]
+        last = rows[-1].split(b",")[0]
+        tid = last.decode()
+        kept = [row for row in rows if row.split(b",")[0] != last]
+        assert 1 < len(rows) - len(kept) and kept
+        for cut, match in ((rows[:-1], rf"'{tid}' end at t=\d+, but the "
+                                       rf"trial ran to t=\d+; the file is "
+                                       "truncated"),
+                           (kept, rf"no rows for trial '{tid}'; the file is "
+                                  "truncated")):
+            trajs.write_bytes(b"\r\n".join([header, *cut, b""]))
+            with pytest.raises(ValueError,
+                               match=r"trajectories\.csv: .*" + match):
+                load_results(trials, trajs)
+
     def test_equal_row_text_takes_each_trials_front_size(self, tmp_path):
         # omm n=9 has 10 front values and n=19 has 20: the same row text
-        # says 5 covered in the first trial and 10 in the second
-        results = [synthetic(benchmark="omm", n=9, seed=1, runtime=50),
-                   synthetic(benchmark="omm", n=19, seed=2, runtime=50)]
+        # says 5 covered in the first trial and 10 in the second; the
+        # trials end at t=1, their last rows
+        results = [synthetic(benchmark="omm", n=9, seed=1, runtime=1),
+                   synthetic(benchmark="omm", n=19, seed=2, runtime=1)]
         trials = tmp_path / "trials.csv"
         trajs = tmp_path / "trajectories.csv"
         write_trials_csv(results, trials)
