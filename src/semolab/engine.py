@@ -313,8 +313,7 @@ class Trajectory(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, Trajectory):
-            return (self._len == other._len
-                    and len(self.runs) == len(other.runs)
+            return (len(self.runs) == len(other.runs)
                     and all(a[1] == b[1] and a[0][1:] == b[0][1:]
                             for a, b in zip(self.runs, other.runs)))
         if isinstance(other, tuple):
