@@ -257,9 +257,9 @@ class Trajectory(Sequence):
     As a sequence it is the tuple of its records in t order: iteration,
     ``len``, indexing and slicing (a slice is a tuple) see one
     record per tick, the stored record itself at its own t and a copy with
-    ``t`` replaced elsewhere. It compares equal to the tuple of its
-    records, hashes and prints as that tuple, and compares with another
-    ``Trajectory`` by fields and ticks.
+    ``t`` replaced elsewhere. It compares with a tuple or another
+    ``Trajectory`` record by record, and hashes and prints as the tuple
+    of its records.
     """
 
     __slots__ = ("runs", "_len")
@@ -312,12 +312,8 @@ class Trajectory(Sequence):
             i -= len(ts)
 
     def __eq__(self, other):
-        if isinstance(other, Trajectory):
-            return (len(self.runs) == len(other.runs)
-                    and all(a[1] == b[1] and a[0][1:] == b[0][1:]
-                            for a, b in zip(self.runs, other.runs)))
-        if isinstance(other, tuple):
-            return self._len == len(other) and tuple(self) == other
+        if isinstance(other, (Trajectory, tuple)):
+            return self._len == len(other) and tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:

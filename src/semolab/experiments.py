@@ -804,7 +804,8 @@ def load_results(trials_path, trajectories_path=None, *,
     trials file or an unknown one in the trajectories file raises
     ``ValueError`` naming the file and line. A trial whose rows are
     missing or do not end at its ``runtime_iters``, as in a file cut
-    short, raises ``ValueError`` naming the file and the trial.
+    after whole rows, or a last row without its line break, as in a file
+    cut inside a row, raises ``ValueError`` naming the file and the trial.
 
     The trajectories file is read line by line in the unquoted form that
     ``write_trajectories_csv`` writes, and its rows are parsed once per
@@ -886,6 +887,12 @@ def load_results(trials_path, trajectories_path=None, *,
         except ValueError as exc:
             raise ValueError(f"{trajectories_path}:{lineno}: {exc} in row "
                              f"{line.rstrip(chr(10))!r}") from None
+    # every row ends in a line break: a last row without one was cut
+    # inside its fields, which may still parse
+    if line and not line.endswith("\n"):
+        raise ValueError(f"{trajectories_path}:{lineno}: the last row of "
+                         f"trial {tid!r} has no line break; the file is "
+                         "truncated")
     new = tuple.__new__
     loaded = []
     for tid, r in by_id.items():

@@ -257,7 +257,8 @@ class TestReport:
     def test_truncated_trajectories_diagnosed(self, tmp_path, capsys):
         out = self.make_run(tmp_path)
         rows = (out / "trajectories.csv").read_bytes().split(b"\r\n")
-        (out / "trajectories.csv").write_bytes(b"\r\n".join(rows[:-2]))
+        # cut after whole rows: the last row and the final line break go
+        (out / "trajectories.csv").write_bytes(b"\r\n".join(rows[:-2] + [b""]))
         assert run_cli("report", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "trajectories.csv: the rows of trial 'cocz-n16-" in err

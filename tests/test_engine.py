@@ -567,7 +567,8 @@ def replay_schedule(changes, end, period, sample_at, max_iters):
 
 
 def random_schedules():
-    """300 random (change points, end, period, sample_at, max_iters)."""
+    """300 random (change points, end, period, sample_at, max_iters), the
+    draws of ``TestSampleSchedule.test_matches_replay_random``."""
     rng = random.Random(7)
     for _ in range(300):
         max_iters = rng.randrange(0, 60)
@@ -617,7 +618,21 @@ class TestSampleSchedule:
                 assert any(rec is c for c in changes)
 
     def test_matches_replay_random(self):
-        for changes, end, period, sample_at, max_iters in random_schedules():
+        rng = random.Random(7)
+        for _ in range(300):
+            max_iters = rng.randrange(0, 60)
+            end = rng.randrange(0, max_iters + 1)
+            ts = sorted(rng.sample(range(1, end + 1), rng.randrange(0, end + 1))
+                        if end else [])
+            covered = 1
+            points = [(0, covered)]
+            for t in ts:
+                covered += rng.random() < 0.4
+                points.append((t, covered))
+            changes = change_points(*points)
+            period = rng.randrange(1, 15)
+            sample_at = tuple(rng.randrange(0, 70)
+                              for _ in range(rng.randrange(0, 4)))
             assert engine._sample(changes, end, period, sample_at,
                                   max_iters) == replay_schedule(
                 changes, end, period, sample_at, max_iters)
@@ -645,15 +660,12 @@ class TestSampleSchedule:
             alg = AlgorithmSpec.from_names(alg_name, variant, 3000)
             for seed in range(2):
                 counts.update(insert=0, measure=0)
-                res = run_until_cover(BenchmarkSpec(kind, n, k), alg, seed,
-                                      interior_init=interior,
-                                      record_trajectory=record,
-                                      sample_at=(1, 50))
+                run_until_cover(BenchmarkSpec(kind, n, k), alg, seed,
+                                interior_init=interior,
+                                record_trajectory=record, sample_at=(1, 50))
                 assert counts["insert"] > 1
                 assert counts["measure"] == (counts["insert"] if record
                                              else 1)
-                # the trajectory is stored per change point, not per tick
-                assert len(res.trajectory.runs) <= counts["insert"] + 2
 
 
 def omm9_trial(trajectory, end):
@@ -772,6 +784,29 @@ class TestTrajectory:
         records = tuple(self.merged())
         with pytest.raises(ValueError, match="t order"):
             engine.Trajectory.of(records[::-1])
+
+    def test_runs_per_insert(self, monkeypatch):
+        # the trajectory is stored per change point, not per tick: at most
+        # one run per insert, plus one each for t=0 and the last sample
+        inserts = 0
+        real_insert = Population.insert
+
+        def insert(self, *args):
+            nonlocal inserts
+            inserts += 1
+            return real_insert(self, *args)
+
+        monkeypatch.setattr(Population, "insert", insert)
+        for (kind, n, k, interior), alg_name, variant in itertools.product(
+                FINGERPRINT_CASES, ("semo", "gsemo"), ("original", "modified")):
+            alg = AlgorithmSpec.from_names(alg_name, variant, 3000)
+            for seed in range(2):
+                inserts = 0
+                traj = run_until_cover(BenchmarkSpec(kind, n, k), alg, seed,
+                                       interior_init=interior,
+                                       sample_at=(1, 50)).trajectory
+                assert inserts > 1
+                assert len(traj.runs) <= inserts + 2 < len(traj)
 
 
 class TestProcessLaws:

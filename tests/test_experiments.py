@@ -738,6 +738,17 @@ class TestCsvPipeline:
             with pytest.raises(ValueError,
                                match=r"trajectories\.csv: .*" + match):
                 load_results(trials, trajs)
+        # a file cut inside the last row, before its line break or inside
+        # its front_covered: its t is the trial's runtime_iters and its
+        # fields still parse
+        whole = b"\r\n".join([header, *rows])
+        float(rows[-1].rsplit(b",", 1)[1][:-1])
+        for cut in (whole, whole[:-1]):
+            trajs.write_bytes(cut)
+            with pytest.raises(ValueError, match=r"trajectories\.csv:\d+: "
+                               rf"the last row of trial '{tid}' has no line "
+                               "break; the file is truncated"):
+                load_results(trials, trajs)
 
     def test_equal_row_text_takes_each_trials_front_size(self, tmp_path):
         # omm n=9 has 10 front values and n=19 has 20: the same row text
