@@ -9,12 +9,12 @@ from .benchmarks import (BenchmarkSpec, Kind, ParetoFront, analytic_front,
                          brute_force_front)
 from .bounds import (GeometricPhaseSet, chernoff_lower_tail,
                      harmonic_sum_bounds, witt_lower_tail, witt_upper_tail)
-from .core import (Individual, ObjectivePair, Population, incomparable,
-                   strict_dominates, weak_dominates)
+from .core import (ObjectivePair, Population, strict_dominates,
+                   weak_dominates)
 from .engine import (AlgorithmSpec, Mutation, RunState, Selection,
                      TrajectoryRecord, TrialResult, init_state, measure,
-                     mutate_one_bit, mutate_standard, run_until_cover,
-                     select_parent_slot, select_parent_uniform, step)
+                     run_until_cover, select_parent_slot,
+                     select_parent_uniform, step)
 from .experiments import (Checkpoint, ExperimentConfig, HypothesisReport,
                           ScalingFit, check_border_distance,
                           check_equivalence_modified_original,

@@ -32,7 +32,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .core import Individual, ObjectivePair, strict_dominates
+from .core import ObjectivePair, strict_dominates
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -80,20 +80,8 @@ class BenchmarkSpec:
             return self.n + 1
         return max(0, self.n - 2 * self.k + 1) + 2
 
-    def evaluate(self, x: Individual) -> ObjectivePair:
-        if x.n != self.n:
-            raise ValueError(f"individual length {x.n} != problem size {self.n}")
-        return ObjectivePair(*self.kernels().evaluate(x.bits))
-
     def kernels(self) -> "Kernels":
         return _make_kernels(self)
-
-    def analytic_front(self) -> "ParetoFront":
-        return analytic_front(self)
-
-    def is_pareto_optimal(self, pair) -> bool:
-        """Membership of an objective pair in the analytic front."""
-        return self.kernels().is_front_pair(pair[0], pair[1])
 
 
 @dataclass(frozen=True)
@@ -216,9 +204,6 @@ class ParetoFront:
 
     def __iter__(self):
         return iter(self.points)
-
-    def to_csv_rows(self) -> list[str]:
-        return [f"{p.f1},{p.f2}" for p in self.points]
 
     @classmethod
     def from_pairs(cls, pairs) -> "ParetoFront":

@@ -1,10 +1,10 @@
-"""Bit-vector individuals, bi-objective values, dominance, and the
-non-dominated population container.
+"""Bi-objective values, dominance, and the non-dominated population
+container.
 
-Individuals are fixed-length bit vectors packed into a single Python int
-(arbitrary precision, popcount via ``int.bit_count``), which keeps mutation
-an XOR and objective evaluation a couple of popcounts. Objective pairs are
-plain ``(f1, f2)`` integer tuples under maximization.
+Search points are fixed-length bit vectors packed into a single Python int
+(bit i is position i; popcount via ``int.bit_count``), which keeps
+mutation an XOR and objective evaluation a couple of popcounts. Objective
+pairs are plain ``(f1, f2)`` integer tuples under maximization.
 
 The population keeps the classic 2-D "staircase" of mutually non-dominated
 objective values (sorted by rising f1, hence strictly falling f2) plus a
@@ -18,7 +18,6 @@ guarantee and gives O(1) slot-based parent lookup.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
@@ -39,68 +38,6 @@ def strict_dominates(u, v) -> bool:
     return u[0] >= v[0] and u[1] >= v[1] and (u[0] != v[0] or u[1] != v[1])
 
 
-def incomparable(u, v) -> bool:
-    """True iff neither pair weakly dominates the other."""
-    return not weak_dominates(u, v) and not weak_dominates(v, u)
-
-
-@dataclass(frozen=True)
-class Individual:
-    """A point of {0,1}^n, packed little-endian into ``bits``.
-
-    Bit i of ``bits`` is position i of the vector; position 0..n/2-1 is the
-    "first half" where a benchmark distinguishes halves.
-    """
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"individual length must be >= 1, got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError("bits out of range for length n")
-
-    @classmethod
-    def from_bits(cls, values) -> "Individual":
-        values = list(values)
-        packed = 0
-        for i, v in enumerate(values):
-            if v not in (0, 1):
-                raise ValueError(f"bit values must be 0 or 1, got {v!r}")
-            packed |= v << i
-        return cls(n=len(values), bits=packed)
-
-    @classmethod
-    def from_string(cls, s: str) -> "Individual":
-        return cls.from_bits(int(c) for c in s)
-
-    @classmethod
-    def random(cls, n: int, rng) -> "Individual":
-        return cls(n=n, bits=rng.getrandbits(n))
-
-    @classmethod
-    def all_ones(cls, n: int) -> "Individual":
-        return cls(n=n, bits=(1 << n) - 1)
-
-    @classmethod
-    def all_zeros(cls, n: int) -> "Individual":
-        return cls(n=n, bits=0)
-
-    @property
-    def ones(self) -> int:
-        return self.bits.bit_count()
-
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def to_list(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.n)]
-
-    def __str__(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
-
-
 class Population:
     """Mutually non-dominated members with structural per-slot uniqueness.
 
@@ -114,8 +51,8 @@ class Population:
         slot must be comparable); the bi-objective benchmarks here satisfy
         that by construction.
     front_pair:
-        Optional predicate marking Pareto-optimal objective pairs, used to
-        maintain ``front_count`` incrementally. Pareto-optimal values are
+        Predicate marking Pareto-optimal objective pairs, used to maintain
+        ``front_count`` incrementally. Pareto-optimal values are
         maximal, so they can only ever be replaced by an equal value and
         the count never decreases.
     """
@@ -125,7 +62,7 @@ class Population:
 
     def __init__(self, slot_count: int,
                  slot_from_pair: Callable[[int, int], int],
-                 front_pair: Optional[Callable[[int, int], bool]] = None):
+                 front_pair: Callable[[int, int], bool]):
         if slot_count < 1:
             raise ValueError("slot_count must be positive")
         self.slot_count = slot_count
@@ -144,9 +81,6 @@ class Population:
     def members(self) -> Iterator[tuple[int, int, int]]:
         """Yield (bits, f1, f2) in increasing f1 order."""
         return zip(self.xs, self.f1s, self.f2s)
-
-    def pairs(self) -> list[ObjectivePair]:
-        return [ObjectivePair(a, b) for a, b in zip(self.f1s, self.f2s)]
 
     def member_at_slot(self, slot: int) -> Optional[int]:
         """Bits of the unique member in ``slot``, or None if empty."""
@@ -188,7 +122,7 @@ class Population:
         if hi > lo:
             for j in range(lo, hi):
                 del by_slot[slots[j]]
-                if front is not None and front(f1s[j], f2s[j]):
+                if front(f1s[j], f2s[j]):
                     self.front_count -= 1
             del xs[lo:hi]
             del f1s[lo:hi]
@@ -200,7 +134,7 @@ class Population:
         f2s.insert(lo, f2)
         slots.insert(lo, slot)
         by_slot[slot] = bits
-        if front is not None and front(f1, f2):
+        if front(f1, f2):
             self.front_count += 1
         return True
 
@@ -226,7 +160,6 @@ class Population:
                 v = (self.f1s[j], self.f2s[j])
                 assert not weak_dominates(u, v), (
                     f"members {u} and {v} are not mutually non-dominated")
-        if self._front_pair is not None:
-            got = sum(1 for a, b in zip(self.f1s, self.f2s)
-                      if self._front_pair(a, b))
-            assert got == self.front_count, "front counter out of sync"
+        got = sum(1 for a, b in zip(self.f1s, self.f2s)
+                  if self._front_pair(a, b))
+        assert got == self.front_count, "front counter out of sync"

@@ -1,9 +1,9 @@
-"""Mutation operators, the one-offspring evolutionary loop, slot-based
-parent selection, and trajectory instrumentation.
+"""The one-offspring evolutionary loop, parent selection, and trajectory
+instrumentation.
 
-Two mutation operators (flip exactly one uniform position; flip each
-position independently with probability 1/n) crossed with two parent
-selection rules give the four algorithm variants:
+Two mutations of the packed bit string (flip exactly one uniform position;
+flip each position independently with probability 1/n) crossed with two
+parent selection rules give the four algorithm variants:
 
 * ``original`` selection picks a parent uniformly from the population.
 * ``modified`` selection draws a slot index uniformly from the full slot
@@ -74,7 +74,7 @@ from typing import NamedTuple, Optional
 from . import calibration as cal
 from .benchmarks import BenchmarkSpec, Kind
 from .bounds import reference_model
-from .core import Individual, Population
+from .core import Population
 
 
 class Mutation(Enum):
@@ -194,16 +194,6 @@ def standard_flip_mask(n: int, cdf: tuple[float, ...], rng) -> int:
     return mask
 
 
-def mutate_one_bit(x: Individual, rng) -> Individual:
-    """Copy of x with exactly one uniformly chosen position flipped."""
-    return Individual(x.n, x.bits ^ (1 << _randbelow(rng.getrandbits, x.n)))
-
-
-def mutate_standard(x: Individual, rng) -> Individual:
-    """Copy of x with each position flipped independently w.p. 1/n."""
-    return Individual(x.n, x.bits ^ standard_flip_mask(x.n, _flip_count_cdf(x.n), rng))
-
-
 def select_parent_uniform(pop: Population, rng) -> int:
     """Bits of a uniformly chosen member; population must be non-empty."""
     if not len(pop):
@@ -211,14 +201,11 @@ def select_parent_uniform(pop: Population, rng) -> int:
     return pop.xs[_randbelow(rng.getrandbits, len(pop.xs))]
 
 
-def select_parent_slot(pop: Population, rng,
-                       slot_count: Optional[int] = None) -> Optional[int]:
+def select_parent_slot(pop: Population, rng) -> Optional[int]:
     """Slot-based parent draw: uniform slot index, None if it is empty."""
     if not len(pop):
         raise ValueError("cannot select from an empty population")
-    s = _randbelow(rng.getrandbits,
-                   pop.slot_count if slot_count is None else slot_count)
-    return pop.member_at_slot(s)
+    return pop.member_at_slot(_randbelow(rng.getrandbits, pop.slot_count))
 
 
 class TrajectoryRecord(NamedTuple):
@@ -239,7 +226,6 @@ class TrajectoryRecord(NamedTuple):
     d_pf: int
     covered: int
     front_covered: float
-    slot_occupancy: Optional[int] = None
 
 
 _new = tuple.__new__
@@ -439,7 +425,7 @@ def step(state: RunState) -> RunState:
     return state
 
 
-def measure(state: RunState, record_slots: bool = False) -> TrajectoryRecord:
+def measure(state: RunState) -> TrajectoryRecord:
     """Snapshot of the tracked processes. The run loop calls it once per
     change point, and it reads the population through builtins only.
 
@@ -460,17 +446,11 @@ def measure(state: RunState, record_slots: bool = False) -> TrajectoryRecord:
     else:
         max_g1 = None
         z_count = None
-    occupancy = None
-    if record_slots:
-        occupancy = 0
-        for s in slots:
-            occupancy |= 1 << s
     covered = pop.front_count
     # positional: building a named tuple from keywords costs several times
     # as much, once per change point
     return _new(TrajectoryRecord, (state.t, len(pop), max_g1, z_count, d_pf,
-                                   covered, covered / kern.front_size,
-                                   occupancy))
+                                   covered, covered / kern.front_size))
 
 
 def default_sample_period(n: int) -> int:

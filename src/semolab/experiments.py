@@ -781,7 +781,7 @@ def write_trajectories_csv(results: Sequence[TrialResult], path) -> None:
             rows: list[str] = []
             append = rows.append
             for rec, ts in r.trajectory.runs:
-                _, pop_size, max_g1, z_count, d_pf, _, front_covered, _ = rec
+                _, pop_size, max_g1, z_count, d_pf, _, front_covered = rec
                 text = (f",{pop_size},{'' if max_g1 is None else max_g1},"
                         f"{'' if z_count is None else z_count},"
                         f"{d_pf},{front_covered!r}\r\n")
@@ -877,8 +877,7 @@ def load_results(trials_path, trajectories_path=None, *,
                     front_covered = float(frac)
                     tail = (int(pop_size), int(max_g1) if max_g1 else None,
                             int(z_count) if z_count else None, int(d_pf),
-                            round(front_covered * front_size), front_covered,
-                            None)
+                            round(front_covered * front_size), front_covered)
                     text = rest
                     if not runs or runs[-1][0] != tail:
                         runs.append((tail, []))

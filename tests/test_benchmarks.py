@@ -9,33 +9,36 @@ from hypothesis import strategies as st
 from semolab.benchmarks import (BRUTE_FORCE_MAX_N, BenchmarkSpec, Kind,
                                 ParetoFront, analytic_front,
                                 brute_force_front)
-from semolab.core import Individual, strict_dominates
+from semolab.core import strict_dominates
 from semolab.engine import AlgorithmSpec
 
 
-def ind(s: str) -> Individual:
-    return Individual.from_string(s)
+def bits_of(s: str) -> int:
+    """Packed bits of a 0/1 string whose character i is bit i."""
+    return int(s[::-1], 2)
 
 
 class TestEvalCocz:
     def test_all_ones(self):
         for n in (4, 8, 12):
-            assert BenchmarkSpec(Kind.COCZ, n).evaluate(
-                Individual.all_ones(n)) == (n, n // 2)
+            assert BenchmarkSpec(Kind.COCZ, n).kernels().evaluate(
+                (1 << n) - 1) == (n, n // 2)
 
     def test_first_half_ones(self):
         for n in (4, 8, 12):
-            x = ind("1" * (n // 2) + "0" * (n // 2))
-            assert BenchmarkSpec(Kind.COCZ, n).evaluate(x) == (n // 2, n)
+            x = bits_of("1" * (n // 2) + "0" * (n // 2))
+            assert BenchmarkSpec(Kind.COCZ, n).kernels().evaluate(x) == (
+                n // 2, n)
 
     def test_all_zeros(self):
         for n in (4, 8, 12):
-            assert BenchmarkSpec(Kind.COCZ, n).evaluate(
-                Individual.all_zeros(n)) == (0, n // 2)
+            assert BenchmarkSpec(Kind.COCZ, n).kernels().evaluate(0) == (
+                0, n // 2)
 
     def test_mixed(self):
         # g1 = 2, g2 = 1 at n = 6
-        assert BenchmarkSpec(Kind.COCZ, 6).evaluate(ind("110100")) == (3, 4)
+        assert BenchmarkSpec(Kind.COCZ, 6).kernels().evaluate(
+            bits_of("110100")) == (3, 4)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -46,50 +49,50 @@ class TestEvalCocz:
     def test_objective_sum_identity(self, half, rnd):
         # f1 + f2 = n/2 + 2 * (ones in first half), for every individual
         n = 2 * half
-        x = Individual(n, rnd.getrandbits(n))
-        f1, f2 = BenchmarkSpec(Kind.COCZ, n).evaluate(x)
-        g1 = (x.bits & ((1 << half) - 1)).bit_count()
+        x = rnd.getrandbits(n)
+        f1, f2 = BenchmarkSpec(Kind.COCZ, n).kernels().evaluate(x)
+        g1 = (x & ((1 << half) - 1)).bit_count()
         assert f1 + f2 == half + 2 * g1
         assert 0 <= f1 <= n and 0 <= f2 <= n
 
 
 class TestEvalOmm:
     def test_extremes(self):
-        spec = BenchmarkSpec(Kind.OMM, 6)
-        assert spec.evaluate(Individual.all_zeros(6)) == (0, 6)
-        assert spec.evaluate(Individual.all_ones(6)) == (6, 0)
+        kern = BenchmarkSpec(Kind.OMM, 6).kernels()
+        assert kern.evaluate(0) == (0, 6)
+        assert kern.evaluate((1 << 6) - 1) == (6, 0)
 
     def test_popcount(self):
-        assert BenchmarkSpec(Kind.OMM, 6).evaluate(ind("110100")) == (3, 3)
+        assert BenchmarkSpec(Kind.OMM, 6).kernels().evaluate(
+            bits_of("110100")) == (3, 3)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 20), st.randoms(use_true_random=False))
     def test_every_value_is_optimal(self, n, rnd):
-        spec = BenchmarkSpec(Kind.OMM, n)
-        x = Individual(n, rnd.getrandbits(n))
-        assert spec.is_pareto_optimal(spec.evaluate(x))
+        kern = BenchmarkSpec(Kind.OMM, n).kernels()
+        assert kern.is_front_pair(*kern.evaluate(rnd.getrandbits(n)))
 
 
 class TestEvalOjzj:
     def test_all_ones(self):
         for n, k in [(8, 2), (10, 3)]:
-            assert BenchmarkSpec(Kind.OJZJ, n, k).evaluate(
-                Individual.all_ones(n)) == (n + k, k)
+            assert BenchmarkSpec(Kind.OJZJ, n, k).kernels().evaluate(
+                (1 << n) - 1) == (n + k, k)
 
     def test_all_zeros(self):
         for n, k in [(8, 2), (10, 3)]:
-            assert BenchmarkSpec(Kind.OJZJ, n, k).evaluate(
-                Individual.all_zeros(n)) == (k, n + k)
+            assert BenchmarkSpec(Kind.OJZJ, n, k).kernels().evaluate(
+                0) == (k, n + k)
 
     def test_gap_point(self):
         # n=8, k=2, seven ones: f1 = n - |x|_1 = 1, f2 = k + |x|_0 = 3
-        spec = BenchmarkSpec(Kind.OJZJ, 8, 2)
-        assert spec.evaluate(ind("11111110")) == (1, 3)
+        kern = BenchmarkSpec(Kind.OJZJ, 8, 2).kernels()
+        assert kern.evaluate(bits_of("11111110")) == (1, 3)
 
     def test_interior_point(self):
         # n=8, k=2, four ones: both counts within [k, n-k]
-        spec = BenchmarkSpec(Kind.OJZJ, 8, 2)
-        assert spec.evaluate(ind("11110000")) == (6, 6)
+        kern = BenchmarkSpec(Kind.OJZJ, 8, 2).kernels()
+        assert kern.evaluate(bits_of("11110000")) == (6, 6)
 
     def test_gap_size_validation(self):
         with pytest.raises(ValueError):
@@ -178,18 +181,14 @@ class TestFronts:
             brute_force_front(BenchmarkSpec(Kind.OMM, BRUTE_FORCE_MAX_N + 1))
 
     def test_front_membership(self):
-        spec = BenchmarkSpec(Kind.COCZ, 8)
-        assert spec.is_pareto_optimal((8, 4))   # all-ones endpoint
-        assert spec.is_pareto_optimal((4, 8))
-        assert not spec.is_pareto_optimal((3, 7))  # g1 < n/2
-        assert not spec.is_pareto_optimal((0, 4))
-        ojzj = BenchmarkSpec(Kind.OJZJ, 8, 2)
-        assert not ojzj.is_pareto_optimal((1, 3))
-        assert ojzj.is_pareto_optimal((10, 2))
-
-    def test_front_csv_rows(self):
-        rows = analytic_front(BenchmarkSpec(Kind.COCZ, 4)).to_csv_rows()
-        assert rows == ["2,4", "3,3", "4,2"]
+        cocz = BenchmarkSpec(Kind.COCZ, 8).kernels()
+        assert cocz.is_front_pair(8, 4)   # all-ones endpoint
+        assert cocz.is_front_pair(4, 8)
+        assert not cocz.is_front_pair(3, 7)  # g1 < n/2
+        assert not cocz.is_front_pair(0, 4)
+        ojzj = BenchmarkSpec(Kind.OJZJ, 8, 2).kernels()
+        assert not ojzj.is_front_pair(1, 3)
+        assert ojzj.is_front_pair(10, 2)
 
     def test_front_requires_staircase(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,11 @@
-"""Dominance relations, bit-vector individuals, and the population update."""
-
-import random
+"""Dominance relations and the population update."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semolab.core import (Individual, ObjectivePair, Population, incomparable,
-                          strict_dominates, weak_dominates)
+from semolab.core import (ObjectivePair, Population, strict_dominates,
+                          weak_dominates)
 
 
 class TestDominance:
@@ -35,52 +33,25 @@ class TestDominance:
         assert not strict_dominates(u, u)
         if strict_dominates(u, v):
             assert not weak_dominates(v, u)
-        if u != v:
-            assert incomparable(u, v) == (
-                not weak_dominates(u, v) and not weak_dominates(v, u))
 
     def test_objective_pair_is_tuple(self):
         p = ObjectivePair(3, 4)
         assert p == (3, 4) and p.f1 == 3 and p.f2 == 4
 
 
-class TestIndividual:
-    def test_from_string_roundtrip(self):
-        x = Individual.from_string("1101000010")
-        assert x.n == 10
-        assert str(x) == "1101000010"
-        assert x.to_list() == [1, 1, 0, 1, 0, 0, 0, 0, 1, 0]
-        assert x.ones == 4
-        assert x.bit(0) == 1 and x.bit(2) == 0
-
-    def test_bit_packing_order(self):
-        # position 0 is the leftmost character and the lowest bit
-        x = Individual.from_string("100")
-        assert x.bits == 1
-
-    def test_extremes(self):
-        assert Individual.all_ones(7).ones == 7
-        assert Individual.all_zeros(7).ones == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Individual(0, 0)
-        with pytest.raises(ValueError):
-            Individual(3, 8)
-        with pytest.raises(ValueError):
-            Individual.from_bits([0, 2, 1])
-
-    def test_random_respects_length(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            x = Individual.random(6, rng)
-            assert 0 <= x.bits < 64
-
-
 def fresh_pop(slot_count=512):
     # slotting by f1 is valid for arbitrary pair sets: staircase members
     # have pairwise distinct f1 values
-    return Population(slot_count, lambda f1, f2: f1)
+    return Population(slot_count, lambda f1, f2: f1, lambda f1, f2: False)
+
+
+def values_of(pop):
+    return list(zip(pop.f1s, pop.f2s))
+
+
+def bits_of(s: str) -> int:
+    """Packed bits of a 0/1 string whose character i is bit i."""
+    return int(s[::-1], 2)
 
 
 class TestPopulationInsert:
@@ -90,7 +61,7 @@ class TestPopulationInsert:
         assert pop.insert(0b10, 3, 4)
         assert len(pop) == 1
         assert pop.xs == [0b10]
-        assert pop.pairs() == [(3, 4)]
+        assert values_of(pop) == [(3, 4)]
         assert pop.member_at_slot(3) == 0b10
         pop.check_invariants()
 
@@ -98,7 +69,7 @@ class TestPopulationInsert:
         pop = fresh_pop()
         pop.insert(1, 3, 4)
         assert pop.insert(2, 2, 5)
-        assert sorted(pop.pairs()) == [(2, 5), (3, 4)]
+        assert sorted(values_of(pop)) == [(2, 5), (3, 4)]
 
     def test_dominating_offspring_sweeps(self):
         # hand-applied update rule: (3,5) removes both (3,4) and (2,5)
@@ -106,7 +77,7 @@ class TestPopulationInsert:
         pop.insert(1, 3, 4)
         pop.insert(2, 2, 5)
         assert pop.insert(3, 3, 5)
-        assert pop.pairs() == [(3, 5)]
+        assert values_of(pop) == [(3, 5)]
         assert pop.xs == [3]
 
     def test_dominated_offspring_rejected(self):
@@ -114,12 +85,12 @@ class TestPopulationInsert:
         pop.insert(1, 3, 5)
         assert not pop.insert(2, 3, 4)
         assert not pop.insert(2, 2, 5)
-        assert pop.pairs() == [(3, 5)]
+        assert values_of(pop) == [(3, 5)]
 
     def test_insert_individual_bits(self):
         pop = fresh_pop()
-        assert pop.insert(Individual.from_string("101").bits, 4, 4)
-        assert not pop.insert(Individual.from_string("010").bits, 3, 3)
+        assert pop.insert(bits_of("101"), 4, 4)
+        assert not pop.insert(bits_of("010"), 3, 3)
 
     def test_slot_lookup(self):
         pop = fresh_pop()
@@ -149,11 +120,11 @@ def test_insert_matches_naive_reference(pairs):
     for i, (a, b) in enumerate(pairs):
         pop.insert(i, a, b)
         reference = naive_update(reference, (a, b))
-        assert sorted(pop.pairs()) == sorted(reference)
+        assert sorted(values_of(pop)) == sorted(reference)
         # structural audit: mutual non-domination, ordering, slot uniqueness
         pop.check_invariants()
         # the best objective-value sum never drops across updates
-        new_max = max(x + y for x, y in pop.pairs())
+        new_max = max(x + y for x, y in values_of(pop))
         if max_sum is not None:
             assert new_max >= max_sum
         max_sum = new_max
@@ -166,7 +137,7 @@ def test_members_pairwise_incomparable(pairs):
     pop = fresh_pop(32)
     for i, (a, b) in enumerate(pairs):
         pop.insert(i, a, b)
-    members = pop.pairs()
+    members = values_of(pop)
     for i, u in enumerate(members):
         for j, v in enumerate(members):
             if i != j:
@@ -174,7 +145,7 @@ def test_members_pairwise_incomparable(pairs):
 
 
 def test_size_bound_is_slot_count():
-    pop = Population(4, lambda f1, f2: f1)
+    pop = Population(4, lambda f1, f2: f1, lambda f1, f2: False)
     for v in range(4):
         pop.insert(v, v, 10 - v)
     assert len(pop) == 4

@@ -1,5 +1,6 @@
-"""Mutation operators, parent selection, the iteration step, and full runs."""
+"""Mutation masks, parent selection, the iteration step, and full runs."""
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -11,12 +12,12 @@ from scipy import stats
 
 from semolab import _loop, engine
 from semolab.benchmarks import BenchmarkSpec, Kind
-from semolab.core import Individual, Population
+from semolab.core import Population
 from semolab.engine import (AlgorithmSpec, Mutation, Selection, _flip_count_cdf,
                             default_sample_period, init_state, measure,
-                            mutate_one_bit, mutate_standard,
                             run_offspring_budget, run_until_cover,
-                            select_parent_slot, select_parent_uniform, step)
+                            select_parent_slot, select_parent_uniform,
+                            standard_flip_mask, step)
 from semolab.experiments import (load_results, write_trajectories_csv,
                                  write_trials_csv)
 
@@ -37,27 +38,42 @@ class ScriptedRng:
         return self._uniforms.pop(0)
 
 
+def bits_of(s: str) -> int:
+    """Packed bits of a 0/1 string whose character i is bit i."""
+    return int(s[::-1], 2)
+
+
+def one_bit_offspring(n, x, rng, trials):
+    """The offspring of ``trials`` one-bit ``step``s of SEMO on omm, each
+    from a population holding only ``x``, all drawn from ``rng``. Every omm
+    value is Pareto-optimal and an offspring differs from its parent in
+    the ones count, so the offspring always joins."""
+    spec = BenchmarkSpec(Kind.OMM, n)
+    kern = spec.kernels()
+    state = init_state(spec, AlgorithmSpec.semo(), seed=0)
+    state.rng = rng
+    for _ in range(trials):
+        state.pop = Population(kern.slot_count, kern.slot_from_pair,
+                               kern.is_front_pair)
+        state.pop.insert(x, *kern.evaluate(x))
+        step(state)
+        assert len(state.pop) == 2
+        yield next(y for y in state.pop.xs if y != x)
+
+
 class TestMutateOneBit:
     def test_hamming_distance_exactly_one(self):
         rng = random.Random(3)
-        x = Individual.from_string("1100101011")
-        for _ in range(200):
-            y = mutate_one_bit(x, rng)
-            assert (x.bits ^ y.bits).bit_count() == 1
-
-    def test_forced_flip_at_n1(self):
-        rng = random.Random(0)
-        assert mutate_one_bit(Individual(1, 0), rng).bits == 1
-        assert mutate_one_bit(Individual(1, 1), rng).bits == 0
+        x = bits_of("1100101011")
+        for y in one_bit_offspring(10, x, rng, 200):
+            assert (x ^ y).bit_count() == 1
 
     def test_flip_position_uniform(self):
         rng = random.Random(12345)
         n, trials = 10, 100_000
-        x = Individual.all_zeros(n)
         counts = [0] * n
-        for _ in range(trials):
-            y = mutate_one_bit(x, rng)
-            counts[(y.bits).bit_length() - 1] += 1
+        for y in one_bit_offspring(n, 0, rng, trials):
+            counts[y.bit_length() - 1] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.01
 
@@ -72,14 +88,14 @@ class TestMutateStandard:
     def test_no_change_probability(self):
         rng = random.Random(99)
         n, trials = 10, 100_000
-        x = Individual.from_string("1010101010")
+        cdf = _flip_count_cdf(n)
         unchanged = 0
         full_flips = 0
         for _ in range(trials):
-            y = mutate_standard(x, rng)
-            if y.bits == x.bits:
+            mask = standard_flip_mask(n, cdf, rng)
+            if not mask:
                 unchanged += 1
-            if (y.bits ^ x.bits).bit_count() == n:
+            if mask.bit_count() == n:
                 full_flips += 1
         expected = (1 - 1 / n) ** n
         assert abs(unchanged / trials - expected) < 0.01
@@ -88,17 +104,39 @@ class TestMutateStandard:
     def test_expected_flip_count(self):
         rng = random.Random(7)
         n, trials = 50, 100_000
-        x = Individual.all_zeros(n)
-        total = sum((mutate_standard(x, rng).bits ^ x.bits).bit_count()
+        cdf = _flip_count_cdf(n)
+        total = sum(standard_flip_mask(n, cdf, rng).bit_count()
                     for _ in range(trials))
         assert abs(total / trials - 1.0) < 0.02
 
     def test_zero_flips_allowed(self):
         rng = random.Random(4)
-        x = Individual.from_string("1111")
-        seen_same = any(mutate_standard(x, rng).bits == x.bits
-                        for _ in range(200))
-        assert seen_same
+        cdf = _flip_count_cdf(4)
+        assert any(standard_flip_mask(4, cdf, rng) == 0 for _ in range(200))
+
+    def test_mask_has_k_distinct_positions(self):
+        # scripted: the uniform picks the flip count, a position drawn again
+        # is skipped and a draw >= n is rejected
+        n = 6
+        cdf = _flip_count_cdf(n)
+        three = ScriptedRng(bits=[1, 7, 1, 5, 6, 3],
+                            uniforms=[(cdf[2] + cdf[3]) / 2])
+        assert standard_flip_mask(n, cdf, three) == 0b101010
+        one = ScriptedRng(bits=[7, 4], uniforms=[(cdf[0] + cdf[1]) / 2])
+        assert standard_flip_mask(n, cdf, one) == 1 << 4
+        none = ScriptedRng(uniforms=[cdf[0] / 2])
+        assert standard_flip_mask(n, cdf, none) == 0
+        # live: the mask has exactly as many positions as the flip count
+        # its first uniform selects
+        n = 12
+        cdf = _flip_count_cdf(n)
+        rng = random.Random(17)
+        for _ in range(2000):
+            saved = rng.getstate()
+            k = bisect.bisect_left(cdf, rng.random())
+            rng.setstate(saved)
+            mask = standard_flip_mask(n, cdf, rng)
+            assert mask.bit_count() == k and mask < 1 << n
 
 
 def cocz_pop(n, members):
@@ -133,7 +171,8 @@ class TestSelection:
 
     def test_empty_population_rejected(self):
         kern = BenchmarkSpec(Kind.COCZ, 8).kernels()
-        pop = Population(kern.slot_count, kern.slot_from_pair)
+        pop = Population(kern.slot_count, kern.slot_from_pair,
+                         kern.is_front_pair)
         with pytest.raises(ValueError):
             select_parent_uniform(pop, random.Random(0))
         with pytest.raises(ValueError):
@@ -269,10 +308,10 @@ class TestMeasure:
                                kern.is_front_pair)
         for bits in members:
             state.pop.insert(bits, *kern.evaluate(bits))
-        rec = measure(state, record_slots=True)
+        rec = measure(state)
         assert rec.d_pf == 0
         assert rec.front_covered == 1.0
-        assert rec.slot_occupancy == 0b11111
+        assert sorted(state.pop.slots) == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("kind,n,k,interior", [
         (Kind.COCZ, 12, None, False), (Kind.COCZ, 20, None, False),
@@ -522,7 +561,7 @@ FINGERPRINT_CASES = [(Kind.COCZ, 16, None, False), (Kind.OMM, 15, None, False),
                      (Kind.OJZJ, 12, 2, True), (Kind.OJZJ, 12, 2, False)]
 # sha256 of repr() of the results below, pinned to detect any change to
 # the engine's output (RNG stream, runtimes, censoring or trajectories)
-FINGERPRINT = "31e9e1ae578fcb92bdc443db0efa6bb51024c94c1c60c6df1e2a4c5ce0ee3feb"
+FINGERPRINT = "ba471e46adca42af09842995bb3f2aebdb547977e72ec4c68b05901990bd196b"
 
 
 def test_run_until_cover_fingerprint():
