@@ -26,8 +26,6 @@ def perfbench(monkeypatch):
     bytecode into it, and dropped again after the test."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    for name in ("speed", "tracing", "micro"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
     import micro
     import tracing
     yield tracing, micro
