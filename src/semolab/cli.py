@@ -129,8 +129,7 @@ def cmd_run(args) -> int:
             pass
         os.remove(probe)
     except OSError as exc:
-        print(f"error: output directory not writable: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"output directory not writable: {exc}") from None
     results = run_grid(config, jobs=jobs)
     write_trials_csv(results, os.path.join(out, TRIALS_FILE))
     if config.record_trajectories:
@@ -148,15 +147,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        spec = BenchmarkSpec(Kind(args.benchmark), args.n, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = BenchmarkSpec(Kind(args.benchmark), args.n, args.k)
     if spec.n > BRUTE_FORCE_MAX_N:
-        print(f"error: oracle enumerates 2^n points and refuses n > "
-              f"{BRUTE_FORCE_MAX_N}", file=sys.stderr)
-        return 2
+        raise CliError(f"oracle enumerates 2^n points and refuses n > "
+                       f"{BRUTE_FORCE_MAX_N}")
     closed = analytic_front(spec)
     brute = brute_force_front(spec)
     print(f"closed-form front ({len(closed)} points): "
@@ -349,10 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,17 +18,19 @@ variants it equals one plus the number of iterations until the population
 covers the Pareto front. Idle iterations advance the iteration counter
 only; both counters are reported.
 
-``run_until_cover`` is the tuned inner loop (a run spends millions of
-iterations here); ``step`` is the readable reference implementation of a
-single iteration and the two are held together by an exact equivalence
-test in the suite. The loop has two implementations that give the same
-bytes. Standard bit mutation (GSEMO) runs in ``_loop.c``, compiled on
-first use (see ``_loop``), which replays the run's Mersenne Twister
-word for word and hands every offspring that changes the value set back
-to ``Population.insert``. One-bit mutation (SEMO), and every run when the
-kernel cannot be built, takes ``_python_loop``. An iteration pays only
-for what it draws (the kernel keeps no memo of fates, because it
-evaluates an offspring faster than a memo could be read):
+``run_until_cover`` (until cover or the cutoff; a run spends millions of
+iterations here) and ``run_offspring_budget`` (until exactly m offspring)
+share one loop. ``step`` is the readable reference implementation of a
+single iteration; only tests call it, as the oracle the loop is held to
+state for state. The loop has two implementations that give the same
+bytes. Standard bit mutation (GSEMO) until cover runs in ``_loop.c``,
+compiled on first use (see ``_loop``), which replays the run's Mersenne
+Twister word for word and hands every offspring that changes the value
+set back to ``Population.insert``. One-bit mutation (SEMO), budget runs
+(the kernel's set-up costs more than one) and every run when the kernel
+cannot be built take ``_python_loop``. An iteration pays only for what
+it draws (the kernel keeps no memo of fates, because it evaluates an
+offspring faster than a memo could be read):
 
 * Zero-flip copies stop after their draws, omm and ojzj offspring read
   their objective pair from the per-spec table ``Kernels.values`` (cocz
@@ -379,10 +381,6 @@ class RunState:
         self.evaluations = 1
 
     @property
-    def covered(self) -> int:
-        return self.pop.front_count
-
-    @property
     def is_covering(self) -> bool:
         return self.pop.front_count == self.kernels.front_size
 
@@ -518,39 +516,30 @@ def _sample(changes: list[TrajectoryRecord], end: int, period: int,
 def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
                     interior_init: bool = False,
                     record_trajectory: bool = True,
-                    sample_every: Optional[int] = None,
                     sample_at: tuple[int, ...] = (),
                     slot_count_offset: int = 0) -> TrialResult:
     """Run one trial until the population covers the Pareto front or the
     iteration cutoff is reached (a censored trial, flagged, not an error).
 
-    Trajectory records are taken at t=0, every ``sample_every`` iterations
-    (default ceil(n^2/200)), whenever the covered-front count changes, at
-    every iteration listed in ``sample_at``, and at termination. The loop
+    Trajectory records are taken at t=0, every ``default_sample_period``
+    iterations, whenever the covered-front count changes, at every
+    iteration listed in ``sample_at``, and at termination. The loop
     itself keeps no schedule: it calls ``measure`` at t=0 and after every
     insert, and ``_sample`` builds the trajectory's runs from these change
     points when the run ends. That is exact because ``measure`` reads
     nothing that an equal-value replacement changes.
 
-    Zero-flip copies of the parent are not evaluated, and offspring weakly
-    dominated by a member are not passed to ``Population.insert`` (one of
-    equal value replaces that member in place). Only idle draws are
-    counted: every other iteration created one offspring, so the
-    evaluations after t iterations are t + 1 - idle, as ``step`` counts
-    them.
-
-    Standard bit mutation runs in the compiled kernel of ``_loop`` when it
-    can be built, and one-bit mutation in ``_python_loop``; both draw the
-    same words from the run's generator in the same order, so the result
-    does not depend on which one ran. The kernel takes the generator
-    state and the members once, returns at every offspring that changes
-    the value set, and gives both back when the run ends; the inserts,
-    ``measure`` and the cover test stay here.
+    The loop skips what changes nothing (see the module docstring) and
+    counts only idle draws, so the evaluations after t iterations are
+    t + 1 - idle, as ``step`` counts them. Standard bit mutation runs in
+    the kernel of ``_loop`` when it can be built; the kernel returns at
+    every offspring that changes the value set, so the inserts,
+    ``measure`` and the cover test stay in Python.
     """
     state = init_state(bspec, alg, seed, interior_init=interior_init,
                        slot_count_offset=slot_count_offset)
     max_iters = alg.cutoff(bspec)
-    period = sample_every if sample_every else default_sample_period(bspec.n)
+    period = default_sample_period(bspec.n)
     # one record per change of the population's value set, t=0 first
     changes = [measure(state)] if record_trajectory else None
     lib = None
@@ -584,10 +573,14 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
 
 
 def _python_loop(state: RunState, max_iters: int,
-                 changes: Optional[list[TrajectoryRecord]]) -> tuple[int, int]:
-    """The run loop of ``run_until_cover`` in Python; returns the last
-    iteration and the idle draws. With ``changes`` a list, ``measure`` is
-    appended to it after every insert."""
+                 changes: Optional[list[TrajectoryRecord]],
+                 offspring_target: Optional[int] = None) -> tuple[int, int]:
+    """The run loop in Python; returns the last iteration and the idle
+    draws. With ``changes`` a list, ``measure`` is appended to it after
+    every insert. With ``offspring_target`` the run goes on past cover
+    until that many offspring: each pass of the ``for`` ends at an insert
+    or where the target falls if no more draws idle, and the checks a
+    ``step``-driven run makes before each iteration run between passes."""
     # hot loop: everything below is bound to locals on purpose, and index
     # draws inline the same getrandbits rejection scheme as _randbelow.
     # The first test of Population.insert is inlined too, so that only
@@ -602,7 +595,6 @@ def _python_loop(state: RunState, max_iters: int,
     member_at_slot = by_slot.get
     insert = pop.insert
     kern = state.kernels
-    alg = state.alg
     evaluate = kern.evaluate
     values = kern.values
     half_mask = kern.half_mask
@@ -616,85 +608,101 @@ def _python_loop(state: RunState, max_iters: int,
     n1 = n + 1
     nbits = (n - 1).bit_length()
     cdf = state.flip_cdf
-    one_bit = alg.mutation is Mutation.ONE_BIT
+    one_bit = state.alg.mutation is Mutation.ONE_BIT
     if not one_bit:
         # the flip count is bisect_left(cdf, u); the first two are tested
         # directly
         c0, c1 = cdf[0], cdf[1]
-    slot_sel = alg.selection is Selection.SLOT_PARENT
+    slot_sel = state.alg.selection is Selection.SLOT_PARENT
     slot_draw = state.slot_draw_count
     sbits = (slot_draw - 1).bit_length()
     front_size = kern.front_size
+    budget = offspring_target is not None
     m = len(xs)
     mbits = (m - 1).bit_length()
     t = 0
     idle = 0
+    stop = max_iters
 
-    for t in range(1, max_iters + 1):
-        if slot_sel:
-            s = getrandbits(sbits)
-            while s >= slot_draw:
+    while True:
+        if budget:
+            if t - idle >= offspring_target:
+                return t, idle
+            if slot_sel and min(slots) >= slot_draw:
+                # only a broken slot_count_offset strands every member
+                raise RuntimeError("selection deadlocked: every member sits "
+                                   "outside the slot draw range")
+            if t >= max_iters:
+                raise RuntimeError(f"offspring budget not reached within "
+                                   f"{max_iters} iterations")
+            stop = min(offspring_target + idle, max_iters)
+        for t in range(t + 1, stop + 1):
+            if slot_sel:
                 s = getrandbits(sbits)
-            parent = member_at_slot(s)
-            if parent is None:
-                idle += 1
-                continue
-        else:
-            r = getrandbits(mbits)
-            while r >= m:
+                while s >= slot_draw:
+                    s = getrandbits(sbits)
+                parent = member_at_slot(s)
+                if parent is None:
+                    idle += 1
+                    continue
+            else:
                 r = getrandbits(mbits)
-            parent = xs[r]
-        if one_bit:
-            k = 1
-        else:
-            u = random_f()
-            if u <= c0:
-                continue  # a copy of the parent changes nothing
-            k = 1 if u <= c1 else bisect_left(cdf, u)
-        pos = getrandbits(nbits)
-        while pos >= n:
-            pos = getrandbits(nbits)
-        mask = 1 << pos
-        while k > 1:
+                while r >= m:
+                    r = getrandbits(mbits)
+                parent = xs[r]
+            if one_bit:
+                k = 1
+            else:
+                u = random_f()
+                if u <= c0:
+                    continue  # a copy of the parent changes nothing
+                k = 1 if u <= c1 else bisect_left(cdf, u)
             pos = getrandbits(nbits)
             while pos >= n:
                 pos = getrandbits(nbits)
-            b = 1 << pos
-            if not mask & b:
-                mask |= b
-                k -= 1
-        y = parent ^ mask
-        key = y.bit_count()
-        if half_mask:
-            key += (y & half_mask).bit_count() * n1
-        fate = fate_get(key)
-        if fate is not None:
-            if fate >= 0:
-                xs[fate] = y
-                by_slot[slots[fate]] = y
-            continue
-        f1, f2 = values[key] if values else evaluate(y)
-        idx = bisect_left(f1s, f1)
-        if idx < m and f2s[idx] >= f2:
-            # weakly dominated: dropped, or at equal value (hence the
-            # same slot) it takes the member's place
-            if f2s[idx] == f2 and f1s[idx] == f1:
-                xs[idx] = y
-                by_slot[slots[idx]] = y
-                fates[key] = idx
-            else:
-                fates[key] = -1
-            continue
-        insert(y, f1, f2)
-        fates.clear()
-        m = len(xs)
-        mbits = (m - 1).bit_length()
-        if changes is not None:
-            state.t = t
-            changes.append(measure(state))
-        if pop.front_count == front_size:
-            break
-    return t, idle
+            mask = 1 << pos
+            while k > 1:
+                pos = getrandbits(nbits)
+                while pos >= n:
+                    pos = getrandbits(nbits)
+                b = 1 << pos
+                if not mask & b:
+                    mask |= b
+                    k -= 1
+            y = parent ^ mask
+            key = y.bit_count()
+            if half_mask:
+                key += (y & half_mask).bit_count() * n1
+            fate = fate_get(key)
+            if fate is not None:
+                if fate >= 0:
+                    xs[fate] = y
+                    by_slot[slots[fate]] = y
+                continue
+            f1, f2 = values[key] if values else evaluate(y)
+            idx = bisect_left(f1s, f1)
+            if idx < m and f2s[idx] >= f2:
+                # weakly dominated: dropped, or at equal value (hence the
+                # same slot) it takes the member's place
+                if f2s[idx] == f2 and f1s[idx] == f1:
+                    xs[idx] = y
+                    by_slot[slots[idx]] = y
+                    fates[key] = idx
+                else:
+                    fates[key] = -1
+                continue
+            insert(y, f1, f2)
+            fates.clear()
+            m = len(xs)
+            mbits = (m - 1).bit_length()
+            if changes is not None:
+                state.t = t
+                changes.append(measure(state))
+            # past cover the values freeze, but t and the generator do not
+            if budget or pop.front_count == front_size:
+                break
+        if not budget:
+            return t, idle
 
 
 def run_offspring_budget(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int,
@@ -702,26 +710,21 @@ def run_offspring_budget(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int,
                          max_iterations: Optional[int] = None,
                          interior_init: bool = False,
                          slot_count_offset: int = 0) -> RunState:
-    """Step until exactly ``offspring_target`` offspring were created.
+    """Run until exactly ``offspring_target`` offspring were created.
 
     Idle iterations do not count toward the target, so for the modified
-    variants this runs a variable number of iterations. Used by the
-    modified-vs-original equivalence harness.
+    variants this runs a variable number of iterations; cover does not
+    stop it. Used by the modified-vs-original equivalence harness. It runs
+    ``_python_loop`` for both mutations and leaves the state that repeated
+    ``step`` calls leave.
     """
+    if offspring_target < 0:
+        raise ValueError(f"offspring_target must be >= 0, got "
+                         f"{offspring_target}")
     state = init_state(bspec, alg, seed, interior_init=interior_init,
                        slot_count_offset=slot_count_offset)
     cap = max_iterations if max_iterations is not None else (
         1000 * (offspring_target + 1) * state.slot_draw_count)
-    slot_sel = alg.selection is Selection.SLOT_PARENT
-    while state.evaluations - 1 < offspring_target:
-        if slot_sel and min(state.pop.slots) >= state.slot_draw_count:
-            # possible only under a broken slot_count_offset: no member is
-            # reachable by any slot draw, so the run would idle forever
-            raise RuntimeError(
-                "selection deadlocked: every member sits outside the slot "
-                "draw range")
-        if state.t >= cap:
-            raise RuntimeError(
-                f"offspring budget not reached within {cap} iterations")
-        step(state)
+    state.t, idle = _python_loop(state, cap, None, offspring_target)
+    state.evaluations = state.t + 1 - idle
     return state

@@ -634,8 +634,13 @@ def check_equivalence_modified_original(
     a two-sample chi-square test. Filtering idle iterations away turns the
     slot-based process into the uniform one, so the histograms must agree;
     ``slot_count_offset`` deliberately breaks the slot range for negative
-    controls.
+    controls. At zero steps both variants keep their initial states and
+    the test cannot fail, so at least one step and one trial are needed.
     """
+    for name, value in (("offspring_steps", offspring_steps),
+                        ("trials_per_variant", trials_per_variant)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     histograms: list[dict[tuple[int, int], int]] = []
     for variant in ("modified", "original"):
         alg = AlgorithmSpec.from_names(algorithm, variant)

@@ -345,6 +345,18 @@ class TestReport:
         assert code == 1  # broken slot range must fail the suite
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,name", [
+        (("--equiv-trials", "0"), "trials_per_variant"),
+        (("--equiv-steps", "0", "--equiv-offset", "-1"), "offspring_steps"),
+        (("--equiv-steps", "-2"), "offspring_steps")])
+    def test_equivalence_suite_rejects_empty_runs(self, tmp_path, capsys,
+                                                  flags, name):
+        out = self.make_run(tmp_path)
+        code = run_cli("report", "--out", str(out), "--suite", "equivalence",
+                       "--equiv-n", "6", *flags)
+        assert code == 2
+        assert name in capsys.readouterr().err
+
 
 class TestBounds:
     def test_witt(self, capsys):

@@ -458,7 +458,7 @@ class TestStepLoopEquivalence:
     @pytest.mark.parametrize("kind,n,k", [(Kind.COCZ, 8, None),
                                           (Kind.OMM, 9, None),
                                           (Kind.OJZJ, 10, 2)])
-    def test_loop_trajectory_matches_step(self, kind, n, k):
+    def test_loop_trajectory_matches_step(self, monkeypatch, kind, n, k):
         # records are due at t=0, every period tick, every forced point,
         # every change of the covered count and at termination; the loop
         # measures only after an insert, so runs whose population stops
@@ -478,17 +478,18 @@ class TestStepLoopEquivalence:
                 itertools.product(schedules, ("semo", "gsemo"),
                                   ("original", "modified"), starts):
             alg = AlgorithmSpec.from_names(alg_name, variant, cutoff)
+            monkeypatch.setattr(engine, "default_sample_period",
+                                lambda n: period)
             for seed in range(3):
-                res = run_until_cover(spec, alg, seed, sample_every=period,
-                                      sample_at=forced,
+                res = run_until_cover(spec, alg, seed, sample_at=forced,
                                       interior_init=interior)
                 state = init_state(spec, alg, seed, interior_init=interior)
                 expected = [measure(state)]
                 while not state.is_covering and state.t < cutoff:
-                    covered = state.covered
+                    covered = state.pop.front_count
                     step(state)
                     if (state.t % period == 0 or state.t in forced
-                            or state.covered != covered):
+                            or state.pop.front_count != covered):
                         expected.append(measure(state))
                 if expected[-1].t != state.t:
                     expected.append(measure(state))
@@ -848,6 +849,39 @@ class TestTrajectory:
                 assert len(traj.runs) <= inserts + 2 < len(traj)
 
 
+def stepped_budget(bspec, alg, seed, offspring_target, max_iterations=None,
+                   interior_init=False, slot_count_offset=0):
+    """``run_offspring_budget`` as repeated ``step`` calls: the checks and
+    the stop are tested before every iteration."""
+    state = init_state(bspec, alg, seed, interior_init=interior_init,
+                       slot_count_offset=slot_count_offset)
+    cap = max_iterations if max_iterations is not None else (
+        1000 * (offspring_target + 1) * state.slot_draw_count)
+    slot_sel = alg.selection is Selection.SLOT_PARENT
+    while state.evaluations - 1 < offspring_target:
+        if slot_sel and min(state.pop.slots) >= state.slot_draw_count:
+            raise RuntimeError(
+                "selection deadlocked: every member sits outside the slot "
+                "draw range")
+        if state.t >= cap:
+            raise RuntimeError(
+                f"offspring budget not reached within {cap} iterations")
+        step(state)
+    return state
+
+
+def budget_outcome(run, *args, **kwargs):
+    """The counters, members and generator state a budget run leaves, or
+    the message of the RuntimeError it raised."""
+    try:
+        state = run(*args, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
+    pop = state.pop
+    return (state.t, state.evaluations, pop.xs, pop.f1s, pop.f2s, pop.slots,
+            pop._by_slot, state.rng.getstate())
+
+
 class TestProcessLaws:
     def test_max_g1_monotone_and_z_reset(self):
         spec = BenchmarkSpec(Kind.COCZ, 12)
@@ -891,6 +925,41 @@ class TestProcessLaws:
         with pytest.raises(RuntimeError, match="within 10 iterations"):
             run_offspring_budget(spec, AlgorithmSpec.gsemo(), 3, 25,
                                  max_iterations=10)
+
+    def test_run_offspring_budget_rejects_negative_target(self):
+        with pytest.raises(ValueError, match="offspring_target"):
+            run_offspring_budget(BenchmarkSpec(Kind.COCZ, 8),
+                                 AlgorithmSpec.gsemo(), 3, -1)
+
+    @pytest.mark.parametrize("kind,n,k,interior", [
+        (Kind.COCZ, 8, None, False), (Kind.OMM, 9, None, False),
+        (Kind.OJZJ, 10, 2, False), (Kind.OJZJ, 10, 2, True)])
+    def test_run_offspring_budget_matches_step(self, kind, n, k, interior):
+        # the budget run is the engine's loop with an offspring stop; it
+        # must leave the state that repeated step calls leave, past cover
+        # too, and under a broken slot range raise where they raise
+        spec = BenchmarkSpec(kind, n, k)
+        for alg_name, variant, seed, target, offset in itertools.product(
+                ("semo", "gsemo"), ("original", "modified"), range(3),
+                (1, 30, 300), (0, -1)):
+            alg = AlgorithmSpec.from_names(alg_name, variant)
+            args = (spec, alg, seed, target)
+            kwargs = dict(interior_init=interior, slot_count_offset=offset)
+            assert (budget_outcome(run_offspring_budget, *args, **kwargs)
+                    == budget_outcome(stepped_budget, *args, **kwargs))
+
+    def test_run_offspring_budget_cap_matches_step(self):
+        # the cap falls before, at and after the target, with and without
+        # idle draws
+        for kind, alg_name, variant, seed, target, cap in itertools.product(
+                (Kind.COCZ, Kind.OMM), ("semo", "gsemo"),
+                ("original", "modified"), range(2), (1, 30), (0, 1, 30, 45)):
+            args = (BenchmarkSpec(kind, 8), AlgorithmSpec.from_names(
+                alg_name, variant), seed, target)
+            assert (budget_outcome(run_offspring_budget, *args,
+                                   max_iterations=cap)
+                    == budget_outcome(stepped_budget, *args,
+                                      max_iterations=cap))
 
 
 class TestAlgorithmSpec:

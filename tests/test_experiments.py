@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semolab import _loop
+from semolab import _loop, engine
 from semolab import calibration as cal
 from semolab.benchmarks import BenchmarkSpec, Kind
 from semolab.engine import TrajectoryRecord, TrialResult
@@ -537,11 +537,31 @@ class TestEquivalence:
             slot_count_offset=-1)
         assert broken.verdict == "FAIL"
 
-    def test_zero_steps_trivially_pass(self):
-        report = check_equivalence_modified_original(
-            BenchmarkSpec(Kind.COCZ, 8), offspring_steps=0,
-            trials_per_variant=800, master_seed=1)
-        assert report.verdict == "PASS"
+    @pytest.mark.parametrize("steps,trials,name", [
+        (0, 800, "offspring_steps"), (-3, 800, "offspring_steps"),
+        (5, 0, "trials_per_variant")])
+    def test_empty_runs_rejected(self, steps, trials, name):
+        # zero steps leave both variants at their initial states, where
+        # even the broken slot range passes; zero trials leave no histogram
+        with pytest.raises(ValueError, match=name):
+            check_equivalence_modified_original(
+                BenchmarkSpec(Kind.COCZ, 8), offspring_steps=steps,
+                trials_per_variant=trials, master_seed=1,
+                slot_count_offset=-1)
+
+    def test_runs_without_step(self, monkeypatch):
+        # the suite reaches the engine through its loop only; step is the
+        # tests' oracle
+        def no_step(state):
+            raise AssertionError("production code called engine.step")
+
+        monkeypatch.setattr(engine, "step", no_step)
+        spec = BenchmarkSpec(Kind.COCZ, 6)
+        for algorithm in ("semo", "gsemo"):
+            report = check_equivalence_modified_original(
+                spec, algorithm=algorithm, offspring_steps=12,
+                trials_per_variant=300, master_seed=3)
+            assert report.verdict == "PASS"
 
     def test_power_guard(self):
         with pytest.raises(ValueError, match="power"):

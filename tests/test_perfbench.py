@@ -47,3 +47,28 @@ def test_traced_round_and_micro_replay(perfbench):
     assert tracer.streams[spec]
     metrics = micro.replay(tracer.streams)
     assert set(metrics) == MICRO_KEYS
+
+
+def test_traced_offspring_budget(perfbench):
+    # the budget path under both of the benchmark's probes: the trial clock
+    # and the tracer's span read the same counters as the returned state,
+    # and the run never reaches step
+    tracing, _ = perfbench
+    import speed
+    clock = tracing.TrialClock(speed.SpeedProbe())
+    tracer = tracing.Tracer()
+    clock.install()
+    tracer.install()
+    try:
+        state = experiments.run_offspring_budget(
+            BenchmarkSpec(Kind.COCZ, 8), AlgorithmSpec.gsemo(modified=True),
+            1, 30)
+    finally:
+        tracer.uninstall()
+        clock.uninstall()
+    [span] = tracer.spans
+    assert span.name == "engine.run_offspring_budget"
+    assert span.attrs["iterations"] == state.t == clock.iterations[0] > 30
+    assert span.attrs["offspring"] == 30 == state.evaluations - 1
+    assert "engine.init_state" in span.agg
+    assert "engine.step" not in span.agg
