@@ -309,6 +309,33 @@ class TestReport:
             with open(os.path.join(fixture, name), "rb") as fh:
                 assert (replay / name).read_bytes() == fh.read(), name
 
+    def test_report_bytes_over_all_six_suites(self, tmp_path):
+        """``data/six-suites`` holds the ``report.csv`` and ``summary.txt``
+        of two small runs: an omm grid under the four data suites that take
+        it plus the equivalence suite, and a frozen SEMO ojzj run under its
+        auto suite (semo-failure). Both reports stay byte-identical."""
+        fixture = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "data", "six-suites")
+        runs = {
+            "omm": (["--benchmark", "omm", "--n", "8", "--n", "12",
+                     "--n", "16", "--trials", "6", "--seed", "5"],
+                    ["--suite", "front-spread", "--suite", "border-distance",
+                     "--suite", "lower-bound", "--suite", "scaling",
+                     "--suite", "equivalence", "--equiv-n", "8",
+                     "--equiv-steps", "12", "--equiv-trials", "300"], 1),
+            "ojzj": (["--benchmark", "ojzj", "--k", "2", "--n", "10",
+                      "--alg", "semo", "--interior-init", "on",
+                      "--max-iters", "2000", "--trials", "3", "--seed", "5"],
+                     [], 0),
+        }
+        for name, (run_args, report_args, code) in runs.items():
+            out = tmp_path / name
+            assert run_cli("run", *run_args, "--out", str(out)) == 0
+            assert run_cli("report", "--out", str(out), *report_args) == code
+            for file in ("report.csv", "summary.txt"):
+                with open(os.path.join(fixture, name, file), "rb") as fh:
+                    assert (out / file).read_bytes() == fh.read(), (name, file)
+
     def test_period_two_ojzj_run_replays_and_round_trips(self, tmp_path):
         """``data/ojzj-period2`` holds an ojzj run with trajectories written
         by an earlier version of the CLI. Its sampling period is 2, so most

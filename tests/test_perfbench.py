@@ -2,9 +2,12 @@
 
 ``perfbench/tracing.py`` patches semolab functions by name and
 ``perfbench/micro.py`` calls them, so a name removed from the package
-breaks the traced benchmark without breaking any other test.
+breaks the traced benchmark without breaking any other test. One round of
+each workload must also give the digest that ``perfbench/digests.json``
+records for it.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -18,18 +21,20 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MICRO_KEYS = {f"micro.{name}.ns_per_call" for name in (
     "evaluate", "insert", "measure", "select_parent_uniform",
     "select_parent_slot", "standard_flip_mask")}
+DIGEST_SEED = 101
 
 
 @pytest.fixture
 def perfbench(monkeypatch):
     """``tracing`` and ``micro`` imported from the checkout, writing no
-    bytecode into it, and dropped again after the test."""
+    bytecode into it, and dropped again after the test (``workloads`` too,
+    when the test imports it)."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import micro
     import tracing
     yield tracing, micro
-    for name in ("speed", "tracing", "micro"):
+    for name in ("speed", "tracing", "micro", "workloads"):
         sys.modules.pop(name, None)
 
 
@@ -72,3 +77,17 @@ def test_traced_offspring_budget(perfbench):
     assert span.attrs["offspring"] == 30 == state.evaluations - 1
     assert "engine.init_state" in span.agg
     assert "engine.step" not in span.agg
+
+
+@pytest.mark.parametrize("workload", ["cover-scaling", "trajectory-report",
+                                      "suite-controls"])
+def test_round_digest_matches_record(perfbench, tmp_path, workload):
+    # one round in this process, as ``perfbench/run.py`` runs it, with its
+    # files written under tmp_path
+    import workloads
+    with open(PERFBENCH / "digests.json") as fh:
+        recorded = json.load(fh)[workload][str(DIGEST_SEED)]
+    out = workloads.Outcome()
+    workloads.WORKLOADS[workload](DIGEST_SEED, out, str(tmp_path))
+    assert [name for name, ok in out.checks if not ok] == []
+    assert out.digest == recorded
