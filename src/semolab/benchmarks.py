@@ -191,17 +191,6 @@ class ParetoFront:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __contains__(self, pair) -> bool:
-        lo, hi = 0, len(self.points)
-        f1 = pair[0]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.points[mid].f1 < f1:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.points) and self.points[lo] == tuple(pair)
-
     def __iter__(self):
         return iter(self.points)
 

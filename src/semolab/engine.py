@@ -58,7 +58,7 @@ offspring faster than a memo could be read):
 A sampled trajectory is a ``Trajectory``: runs of equal records, one
 record and the ticks it holds at, so the records between two change
 points cost one int each. The CSV writer and loader work on the runs
-too; only a caller that iterates or indexes it sees one record per tick.
+too; only a caller that iterates over it sees one record per tick.
 """
 
 from __future__ import annotations
@@ -66,11 +66,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import add, index as as_index
+from operator import add
 from typing import NamedTuple, Optional
 
 from . import calibration as cal
@@ -233,7 +232,7 @@ class TrajectoryRecord(NamedTuple):
 _new = tuple.__new__
 
 
-class Trajectory(Sequence):
+class Trajectory:
     """A sampled trajectory stored as runs of equal records.
 
     ``runs`` is a tuple of ``(record, ts)`` pairs: the fields of ``record``
@@ -242,12 +241,11 @@ class Trajectory(Sequence):
     records have equal runs. A run records what changes once; its ticks
     cost one int each.
 
-    As a sequence it is the tuple of its records in t order: iteration,
-    ``len``, indexing and slicing (a slice is a tuple) see one
-    record per tick, the stored record itself at its own t and a copy with
-    ``t`` replaced elsewhere. It compares with a tuple or another
-    ``Trajectory`` record by record, and hashes and prints as the tuple
-    of its records.
+    Iterated, it gives the tuple of its records in t order, one record per
+    tick: the stored record itself at its own t and a copy with ``t``
+    replaced elsewhere; ``len`` counts the ticks. It compares with a tuple
+    or another ``Trajectory`` record by record, and hashes and prints as
+    the tuple of its records.
     """
 
     __slots__ = ("runs", "_len")
@@ -283,21 +281,6 @@ class Trajectory(Sequence):
             tail = rec[1:]
             for t in ts:
                 yield rec if t == own else _new(TrajectoryRecord, (t,) + tail)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        i = as_index(index)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("trajectory index out of range")
-        for rec, ts in self.runs:
-            if i < len(ts):
-                t = ts[i]
-                return (rec if t == rec[0]
-                        else _new(TrajectoryRecord, (t,) + rec[1:]))
-            i -= len(ts)
 
     def __eq__(self, other):
         if isinstance(other, (Trajectory, tuple)):

@@ -5,9 +5,11 @@ A grid run executes ``trials`` independent trials per (benchmark, n, k)
 cell. Every trial's seed is derived by hashing the master seed together
 with the cell identity and trial index, so the result set is a pure
 function of the configuration, independent of scheduling and cell order.
-Hypothesis suites are pure functions of a result collection (plus their
-thresholds); they never re-run simulations, and every report embeds the
-master seed and a configuration hash so its inputs can be regenerated.
+The data suites are pure functions of a result collection and never
+re-run simulations; the equivalence suite is the exception, and makes its
+own budget runs from its master seed. Suite thresholds come from
+``calibration`` only, and every report embeds the master seed and (for
+the data suites) a configuration hash so its inputs can be regenerated.
 
 numpy, ``scipy.stats`` and ``multiprocessing`` are imported inside the
 functions that call them (``fit_scaling``, ``check_lower_bound_runtime``,
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import takewhile
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import calibration as cal
 from .benchmarks import BenchmarkSpec, Kind
@@ -259,7 +261,8 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> list[TrialResult]:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Log-log least squares of per-n medians against a model term.
+    """Log-log least squares of per-n median runtimes (evaluations, see
+    ``_runtime_metric``) against a model term.
 
     ``pure_poly`` regresses log(median) on log(n); ``poly_log`` on the log
     of the series' reference growth law (``bounds.reference_model``):
@@ -269,7 +272,6 @@ class ScalingFit:
     """
 
     model: str
-    metric: str
     exponent: float
     exponent_ci: tuple[float, float]
     constant: float
@@ -279,10 +281,9 @@ class ScalingFit:
     per_n_iqr: dict[int, tuple[float, float]]
 
 
-def _runtime_metric(result: TrialResult, metric: str) -> float:
-    value = (result.runtime_evals if metric == "evals"
-             else result.runtime_iters)
-    return math.inf if result.censored else float(value)
+def _runtime_metric(result: TrialResult) -> float:
+    """The runtime every fit and gate reads: evaluations, inf if censored."""
+    return math.inf if result.censored else float(result.runtime_evals)
 
 
 def _single_series(results: Sequence[TrialResult]) -> None:
@@ -292,15 +293,13 @@ def _single_series(results: Sequence[TrialResult]) -> None:
 
 
 def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
-                metric: str = "evals",
-                bootstrap: int = cal.BOOTSTRAP_RESAMPLES,
                 bootstrap_seed: int = 0) -> ScalingFit:
     """Fit the growth of median runtimes over the n grid."""
     import numpy as np
     _single_series(results)
     by_n: dict[int, list[float]] = {}
     for r in results:
-        by_n.setdefault(r.n, []).append(_runtime_metric(r, metric))
+        by_n.setdefault(r.n, []).append(_runtime_metric(r))
     ns = sorted(by_n)
     if len(ns) < 3:
         raise ValueError(f"need >= 3 grid points for a fit, got {len(ns)}")
@@ -327,6 +326,7 @@ def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
     slope, intercept = np.polyfit(x, y, 1)
     residuals = tuple(float(r) for r in (y - (slope * x + intercept)))
 
+    bootstrap = cal.BOOTSTRAP_RESAMPLES
     slopes, dropped = _bootstrap_slopes(x, [by_n[n] for n in ns], bootstrap,
                                         bootstrap_seed)
     if dropped > bootstrap // 5:
@@ -334,7 +334,7 @@ def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
             f"{dropped}/{bootstrap} bootstrap resamples had censored "
             "medians; too much censoring for a stable CI")
     ci = (float(np.quantile(slopes, 0.025)), float(np.quantile(slopes, 0.975)))
-    return ScalingFit(model=model, metric=metric, exponent=float(slope),
+    return ScalingFit(model=model, exponent=float(slope),
                       exponent_ci=ci, constant=float(math.exp(intercept)),
                       residuals=residuals, n_grid=tuple(ns),
                       per_n_median=medians, per_n_iqr=iqrs)
@@ -404,22 +404,22 @@ class CellOutcome:
 
 @dataclass(frozen=True)
 class HypothesisReport:
+    """A suite's cells; it passes when it has cells and every one is ok."""
+
     hypothesis: str
     threshold: float
     cells: tuple[CellOutcome, ...]
-    verdict: str
     master_seed: Optional[int] = None
     config_hash: Optional[str] = None
     notes: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "PASS"
+        return bool(self.cells) and all(c.ok for c in self.cells)
 
-
-def _verdict(cells: Iterable[CellOutcome]) -> str:
-    cells = list(cells)
-    return "PASS" if cells and all(c.ok for c in cells) else "FAIL"
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.passed else "FAIL"
 
 
 def _cell_label(r: TrialResult) -> str:
@@ -444,12 +444,13 @@ def _require_trajectories(results: Sequence[TrialResult], suite: str) -> None:
 
 def check_front_spread(results: Sequence[TrialResult],
                        config: ExperimentConfig, *,
-                       coefficient: float = cal.FRONT_SPREAD_C,
-                       threshold: float = cal.PASS_FREQUENCY) -> HypothesisReport:
+                       coefficient: float = cal.FRONT_SPREAD_C
+                       ) -> HypothesisReport:
     """Time to gather a linear number of Pareto-optimal members.
 
     A trial passes when it first holds at least n/4 (cocz) resp. n/2
-    (omm/ojzj) Pareto-optimal members within coefficient*n^2 iterations.
+    (omm/ojzj) Pareto-optimal members within coefficient*n^2 iterations; a
+    cell passes when ``PASS_FREQUENCY`` of its trials do.
     """
     _require_trajectories(results, "front_spread")
     cells = []
@@ -463,23 +464,24 @@ def check_front_spread(results: Sequence[TrialResult],
                         if rec.covered >= need), None)
             if hit is not None and hit <= budget:
                 passes += 1
-        cells.append(CellOutcome(label, passes, len(group), threshold,
+        cells.append(CellOutcome(label, passes, len(group), cal.PASS_FREQUENCY,
                                  detail=f"need>={need} members within t<={budget}"))
     return HypothesisReport(
-        hypothesis="front_spread", threshold=threshold, cells=tuple(cells),
-        verdict=_verdict(cells), master_seed=config.master_seed,
+        hypothesis="front_spread", threshold=cal.PASS_FREQUENCY,
+        cells=tuple(cells), master_seed=config.master_seed,
         config_hash=config_hash(config),
         notes=f"budget coefficient {coefficient:.4g} (calibrated)")
 
 
 def check_border_distance(results: Sequence[TrialResult],
                           config: ExperimentConfig, *,
-                          coefficient: float = cal.BORDER_DISTANCE_C,
-                          threshold: float = cal.PASS_FREQUENCY) -> HypothesisReport:
+                          coefficient: float = cal.BORDER_DISTANCE_C
+                          ) -> HypothesisReport:
     """Persistence of the distance to the extremal front points.
 
     A trial passes when every sampled iteration t <= floor(c*n^2*ln n) has
-    population border distance >= sqrt(n) (>= max(sqrt(n), k) for ojzj).
+    population border distance >= sqrt(n) (>= max(sqrt(n), k) for ojzj);
+    a cell passes when ``PASS_FREQUENCY`` of its trials do.
     """
     _require_trajectories(results, "border_distance")
     cells = []
@@ -498,11 +500,11 @@ def check_border_distance(results: Sequence[TrialResult],
                 lambda run: run[1][0] <= horizon, r.trajectory.runs))
             if worst >= bar:
                 passes += 1
-        cells.append(CellOutcome(label, passes, len(group), threshold,
+        cells.append(CellOutcome(label, passes, len(group), cal.PASS_FREQUENCY,
                                  detail=f"d_pf>={bar:.3g} through t<={horizon}"))
     return HypothesisReport(
-        hypothesis="border_distance", threshold=threshold, cells=tuple(cells),
-        verdict=_verdict(cells), master_seed=config.master_seed,
+        hypothesis="border_distance", threshold=cal.PASS_FREQUENCY,
+        cells=tuple(cells), master_seed=config.master_seed,
         config_hash=config_hash(config),
         notes=f"horizon coefficient {coefficient:.4g} (calibrated, not a "
               "theoretical constant)")
@@ -511,17 +513,15 @@ def check_border_distance(results: Sequence[TrialResult],
 def check_lower_bound_runtime(results: Sequence[TrialResult],
                               config: ExperimentConfig, *,
                               epsilon: Optional[float] = None,
-                              ratio_window: Optional[tuple[float, float]] = None,
-                              check_ratios: bool = True,
-                              metric: str = "evals") -> HypothesisReport:
-    """Growth-shape gate for cover times.
+                              check_ratios: bool = True) -> HypothesisReport:
+    """Growth-shape gate for cover times, in evaluations.
 
     Per grid point, the 10% runtime quantile must exceed epsilon*model(n);
-    per grid doubling, the median ratio must land in the accepted window
-    (skipped with ``check_ratios=False``; the heavy-tailed gap benchmarks
-    make desk-scale median ratios too noisy for a hard gate). Censored
-    runtimes enter the q10 at their cutoff value (conservative) and poison
-    medians (reported as failures).
+    per grid doubling, the median ratio must land in the calibrated
+    ``DOUBLING_RATIO_WINDOW`` (skipped with ``check_ratios=False``; the
+    heavy-tailed gap benchmarks make desk-scale median ratios too noisy
+    for a hard gate). Censored runtimes enter the q10 at their cutoff
+    value (conservative) and poison medians (reported as failures).
     """
     import numpy as np
     _single_series(results)
@@ -529,8 +529,6 @@ def check_lower_bound_runtime(results: Sequence[TrialResult],
     kind = Kind(sample.benchmark)
     if epsilon is None:
         epsilon = cal.LOWER_BOUND_EPSILON[sample.benchmark]
-    if ratio_window is None:
-        ratio_window = cal.DOUBLING_RATIO_WINDOW[sample.benchmark]
     by_n: dict[int, list[TrialResult]] = {}
     for r in results:
         by_n.setdefault(r.n, []).append(r)
@@ -543,10 +541,8 @@ def check_lower_bound_runtime(results: Sequence[TrialResult],
             raise ValueError(
                 f"cell n={n}: {censored}/{len(group)} trials censored; "
                 "majority must finish for the runtime gate")
-        values = [float(r.runtime_evals if metric == "evals" else r.runtime_iters)
-                  for r in group]
-        q10 = float(np.quantile(values, 0.10))
-        med = float(np.median([_runtime_metric(r, metric) for r in group]))
+        q10 = float(np.quantile([float(r.runtime_evals) for r in group], 0.10))
+        med = float(np.median([_runtime_metric(r) for r in group]))
         medians[n] = med
         floor_value = epsilon * reference_model(kind, n, sample.k)
         ok = q10 > floor_value
@@ -555,7 +551,7 @@ def check_lower_bound_runtime(results: Sequence[TrialResult],
             detail=f"q10={q10:.0f} vs floor {floor_value:.0f}"))
     if check_ratios:
         ns = sorted(medians)
-        lo, hi = ratio_window
+        lo, hi = cal.DOUBLING_RATIO_WINDOW[sample.benchmark]
         for n in ns:
             if 2 * n not in medians:
                 continue
@@ -566,20 +562,18 @@ def check_lower_bound_runtime(results: Sequence[TrialResult],
                 detail=f"median ratio {ratio:.3g}, window [{lo}, {hi}]"))
     return HypothesisReport(
         hypothesis="lower_bound_runtime", threshold=1.0, cells=tuple(cells),
-        verdict=_verdict(cells), master_seed=config.master_seed,
-        config_hash=config_hash(config),
-        notes=f"epsilon={epsilon}, growth metric={metric}")
+        master_seed=config.master_seed, config_hash=config_hash(config),
+        notes=f"epsilon={epsilon}, growth metric=evals")
 
 
 def check_semo_ojzj_failure(results: Sequence[TrialResult], *,
-                            config: Optional[ExperimentConfig] = None,
-                            control_threshold: float = cal.CONTROL_COVER_FREQUENCY
+                            config: Optional[ExperimentConfig] = None
                             ) -> HypothesisReport:
     """One-bit mutation cannot reach the extremal points from the interior.
 
     Every semo cell must have zero covering trials; gsemo cells in the
     same result set act as controls and must cover in at least
-    ``control_threshold`` of trials.
+    ``CONTROL_COVER_FREQUENCY`` of trials.
     """
     if any(r.benchmark != "ojzj" for r in results):
         raise ValueError("semo-failure suite expects ojzj results only")
@@ -602,11 +596,10 @@ def check_semo_ojzj_failure(results: Sequence[TrialResult], *,
         else:
             passes = sum(not r.censored for r in group)
             cells.append(CellOutcome(label, passes, len(group),
-                                     control_threshold,
+                                     cal.CONTROL_COVER_FREQUENCY,
                                      detail="control: covered"))
     return HypothesisReport(
         hypothesis="semo_ojzj_failure", threshold=1.0, cells=tuple(cells),
-        verdict=_verdict(cells),
         master_seed=config.master_seed if config else None,
         config_hash=config_hash(config) if config else None,
         notes="; ".join(notes))
@@ -624,14 +617,13 @@ def check_equivalence_modified_original(
         offspring_steps: int = 30,
         trials_per_variant: int = 10_000,
         master_seed: int = 0,
-        slot_count_offset: int = 0,
-        p_threshold: float = cal.EQUIVALENCE_P_THRESHOLD,
-        min_expected: float = cal.EQUIVALENCE_MIN_EXPECTED) -> HypothesisReport:
+        slot_count_offset: int = 0) -> HypothesisReport:
     """Distributional equivalence of the two selection rules.
 
     Runs both variants for a fixed number of non-idle steps and compares
     the joint histogram of (best cooperative level, population size) with
-    a two-sample chi-square test. Filtering idle iterations away turns the
+    a two-sample chi-square test, which passes when its p-value exceeds
+    ``EQUIVALENCE_P_THRESHOLD``. Filtering idle iterations away turns the
     slot-based process into the uniform one, so the histograms must agree;
     ``slot_count_offset`` deliberately breaks the slot range for negative
     controls. At zero steps both variants keep their initial states and
@@ -666,7 +658,7 @@ def check_equivalence_modified_original(
     keys = sorted(set(h_mod) | set(h_orig))
     raw = [(h_mod.get(key, 0), h_orig.get(key, 0)) for key in keys]
     # pool rare bins so every expected count clears the chi-square rule
-    total_floor = min_expected * (n1 + n2) / min(n1, n2)
+    total_floor = cal.EQUIVALENCE_MIN_EXPECTED * (n1 + n2) / min(n1, n2)
     raw.sort(key=lambda c: c[0] + c[1], reverse=True)
     bins: list[tuple[int, int]] = []
     rest = [0, 0]
@@ -685,8 +677,8 @@ def check_equivalence_modified_original(
     if len(bins) < 2:
         raise ValueError(
             f"only {len(bins)} usable histogram bin(s) after pooling "
-            f"(expected-count floor {min_expected}); increase "
-            "trials_per_variant for enough test power")
+            f"(expected-count floor {cal.EQUIVALENCE_MIN_EXPECTED}); "
+            "increase trials_per_variant for enough test power")
     stat = 0.0
     for c1, c2 in bins:
         tot = c1 + c2
@@ -696,49 +688,46 @@ def check_equivalence_modified_original(
     dof = len(bins) - 1
     from scipy.stats import chi2
     p_value = float(chi2.sf(stat, dof))
-    ok = p_value > p_threshold
+    ok = p_value > cal.EQUIVALENCE_P_THRESHOLD
     label = (f"{bspec.kind.value},n={bspec.n},{algorithm},"
              f"m={offspring_steps},offset={slot_count_offset}")
     cell = CellOutcome(label, int(ok), 1, 1.0,
                        detail=f"chi2={stat:.2f}, dof={dof}, p={p_value:.5g}")
     return HypothesisReport(
-        hypothesis="equivalence_modified_original", threshold=p_threshold,
-        cells=(cell,), verdict=_verdict([cell]), master_seed=master_seed,
+        hypothesis="equivalence_modified_original",
+        threshold=cal.EQUIVALENCE_P_THRESHOLD, cells=(cell,),
+        master_seed=master_seed,
         notes=f"{trials_per_variant} trials per variant, "
               f"{len(bins)} pooled bins")
 
 
 def check_scaling_exponent(results: Sequence[TrialResult],
                            config: ExperimentConfig, *,
-                           model: str = "pure_poly",
-                           window: Optional[tuple[float, float]] = None,
-                           metric: str = "evals",
-                           bootstrap_seed: int = 0
+                           window: Optional[tuple[float, float]] = None
                            ) -> tuple[HypothesisReport, ScalingFit]:
-    """Fit the runtime growth and gate the fitted exponent.
+    """Fit the runtime growth with the pure-power model and gate the fitted
+    exponent.
 
-    With the default pure-power model, n^2 log n data lands a little above
-    exponent 2 and n^(k+1) data near k+1; the accepted windows come from
-    the calibration defaults unless given explicitly.
+    n^2 log n data lands a little above exponent 2 and n^(k+1) data near
+    k+1; the accepted windows come from the calibration defaults unless
+    given explicitly.
     """
     _single_series(results)
     benchmark = results[0].benchmark
     if window is None:
         window = cal.EXPONENT_WINDOW[benchmark]
-    fit = fit_scaling(results, model, metric=metric,
-                      bootstrap_seed=bootstrap_seed)
+    fit = fit_scaling(results)
     lo, hi = window
     ok = lo <= fit.exponent <= hi
     cell = CellOutcome(
-        f"{benchmark},exponent:{model}", int(ok), 1, 1.0,
+        f"{benchmark},exponent:pure_poly", int(ok), 1, 1.0,
         detail=f"exponent {fit.exponent:.3f} "
                f"(CI [{fit.exponent_ci[0]:.3f}, {fit.exponent_ci[1]:.3f}]), "
                f"window [{lo}, {hi}]")
     report = HypothesisReport(
         hypothesis="scaling_exponent", threshold=1.0, cells=(cell,),
-        verdict=_verdict([cell]), master_seed=config.master_seed,
-        config_hash=config_hash(config),
-        notes=f"model={model}, metric={metric}")
+        master_seed=config.master_seed, config_hash=config_hash(config),
+        notes="model=pure_poly, metric=evals")
     return report, fit
 
 
@@ -807,10 +796,12 @@ def load_results(trials_path, trajectories_path=None, *,
     ``interior_init`` (None: unknown), which the caller takes from the
     run's configuration. A malformed row, a repeated trial id in the
     trials file or an unknown one in the trajectories file raises
-    ``ValueError`` naming the file and line. A trial whose rows are
-    missing or do not end at its ``runtime_iters``, as in a file cut
-    after whole rows, or a last row without its line break, as in a file
-    cut inside a row, raises ``ValueError`` naming the file and the trial.
+    ``ValueError`` naming the file and line, and so does a ``censored``
+    field other than 0 or 1. A trial whose rows are missing, do not start
+    at t=0 or do not end at its ``runtime_iters``, as in a file cut
+    before or after whole rows, or a last row without its line break, as
+    in a file cut inside a row, raises ``ValueError`` naming the file and
+    the trial.
 
     The trajectories file is read line by line in the unquoted form that
     ``write_trajectories_csv`` writes, and its rows are parsed once per
@@ -832,13 +823,16 @@ def load_results(trials_path, trajectories_path=None, *,
                                      f"fields, got {len(row)}")
                 (benchmark, n, k, algorithm, variant, seed, runtime_evals,
                  runtime_iters, censored) = row
+                if censored not in ("0", "1"):
+                    raise ValueError(f"censored must be 0 or 1, got "
+                                     f"{censored!r}")
                 result = TrialResult(
                     benchmark=benchmark, n=int(n),
                     k=int(k) if k != "" else None,
                     algorithm=algorithm, variant=variant, seed=int(seed),
                     runtime_evals=int(runtime_evals),
                     runtime_iters=int(runtime_iters),
-                    censored=bool(int(censored)),
+                    censored=censored == "1",
                     final_pop_size=-1, final_covered=-1,
                     final_front_covered=-1.0,
                     interior_init=interior_init)
@@ -913,6 +907,11 @@ def load_results(trials_path, trajectories_path=None, *,
             trajectory = Trajectory.of(sorted(
                 (new(TrajectoryRecord, (t,) + tail)
                  for tail, ts in runs for t in ts), key=itemgetter(0)))
+        first_t = trajectory.runs[0][1][0]
+        if first_t != 0:
+            raise ValueError(
+                f"{trajectories_path}: the rows of trial {tid!r} start at "
+                f"t={first_t}, not at t=0; the file is truncated")
         last, ts = trajectory.runs[-1]
         if ts[-1] != r.runtime_iters:
             raise ValueError(
@@ -945,7 +944,7 @@ def write_report_csv(reports: Sequence[HypothesisReport],
                 f"fit_scaling:{fit.model}", "exponent", "", "",
                 f"{fit.exponent:.4f}", "", "",
                 f"ci=[{lo:.4f},{hi:.4f}] constant={fit.constant:.6g} "
-                f"metric={fit.metric}"])
+                "metric=evals"])
 
 
 def summarize(reports: Sequence[HypothesisReport],
@@ -963,7 +962,7 @@ def summarize(reports: Sequence[HypothesisReport],
             lines.append(f"    note: {rep.notes}")
     for fit in fits:
         lo, hi = fit.exponent_ci
-        lines.append(f"[FIT ] {fit.model} on {fit.metric}: exponent "
+        lines.append(f"[FIT ] {fit.model} on evals: exponent "
                      f"{fit.exponent:.4f} (CI [{lo:.4f}, {hi:.4f}]), "
                      f"constant {fit.constant:.6g}")
         for n in fit.n_grid:

@@ -69,8 +69,7 @@ def scaling_battery(benchmark, master_seed):
                               (32, 64, 128, 256), 100, master_seed,
                               record_trajectories=False)
     results = run_grid(config)
-    runtime_gate = check_lower_bound_runtime(results, config,
-                                             ratio_window=(3.5, 6.0))
+    runtime_gate = check_lower_bound_runtime(results, config)
     exponent_gate, fit = check_scaling_exponent(results, config,
                                                 window=(1.9, 2.4))
     ratios = [fit.per_n_median[2 * n] / fit.per_n_median[n]

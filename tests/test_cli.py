@@ -256,13 +256,25 @@ class TestReport:
 
     def test_truncated_trajectories_diagnosed(self, tmp_path, capsys):
         out = self.make_run(tmp_path)
-        rows = (out / "trajectories.csv").read_bytes().split(b"\r\n")
-        # cut after whole rows: the last row and the final line break go
-        (out / "trajectories.csv").write_bytes(b"\r\n".join(rows[:-2] + [b""]))
+        header, *rows = (out / "trajectories.csv").read_bytes().split(b"\r\n")
+        # cut after whole rows (the last row and the final line break go) or
+        # before them (the first row, t=0 of the first trial, goes)
+        for cut, why in ((rows[:-2] + [b""], "but the trial ran to t="),
+                         (rows[1:], "not at t=0")):
+            (out / "trajectories.csv").write_bytes(b"\r\n".join([header,
+                                                                 *cut]))
+            assert run_cli("report", "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert "trajectories.csv: the rows of trial 'cocz-n16-" in err
+            assert why in err and "the file is truncated" in err
+
+    def test_bad_censored_flag_diagnosed(self, tmp_path, capsys):
+        out = self.make_run(tmp_path)
+        text = (out / "trials.csv").read_text()
+        (out / "trials.csv").write_text(text.replace(",0\n", ",7\n", 1))
         assert run_cli("report", "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert "trajectories.csv: the rows of trial 'cocz-n16-" in err
-        assert "the file is truncated" in err
+        assert ("trials.csv:2: censored must be 0 or 1, got '7'"
+                in capsys.readouterr().err)
 
     def semo_ojzj_run(self, tmp_path, interior):
         out = tmp_path / f"semo-{interior}"

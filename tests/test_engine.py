@@ -402,18 +402,19 @@ class TestRunUntilCover:
         spec = BenchmarkSpec(Kind.COCZ, 8)
         r = run_until_cover(spec, AlgorithmSpec.gsemo(), seed=5,
                             sample_at=(7,))
-        ts = [rec.t for rec in r.trajectory]
+        records = list(r.trajectory)
+        ts = [rec.t for rec in records]
         assert ts[0] == 0
         assert ts == sorted(ts)
         assert len(ts) == len(set(ts))
         assert ts[-1] == r.runtime_iters
         assert 7 in ts  # forced checkpoint
-        covered_seen = {rec.covered for rec in r.trajectory}
-        first = r.trajectory[0].covered
+        covered_seen = {rec.covered for rec in records}
+        first = records[0].covered
         # coverage increments one front value at a time and each change is
         # sampled, so every level from the initial one up is present
         assert set(range(first, spec.front_size + 1)) <= covered_seen
-        assert r.trajectory[-1].front_covered == 1.0
+        assert records[-1].front_covered == 1.0
 
     def test_sampling_period_default(self):
         assert default_sample_period(2) == 1
@@ -798,21 +799,6 @@ class TestTrajectory:
         assert omm9_trial(list(records), 12) == trial
         assert hash(omm9_trial(records, 12)) == hash(trial)
         assert type(omm9_trial(records, 12).trajectory) is engine.Trajectory
-
-    def test_indexing(self):
-        traj = self.merged()
-        records = replay_schedule(MERGING_CHANGES, *MERGING_RUN)
-        assert len(traj) == len(records) == 7
-        assert [traj[i] for i in range(-7, 7)] == list(records * 2)
-        for i in (7, -8, 100):
-            with pytest.raises(IndexError):
-                traj[i]
-        with pytest.raises(TypeError):
-            traj["1"]
-        assert traj[2:5] == records[2:5]
-        assert traj[::-1] == records[::-1]
-        assert traj[0] is MERGING_CHANGES[0]
-        assert traj[3] is MERGING_CHANGES[2]
 
     def test_repr_is_the_tuples(self):
         traj = self.merged()

@@ -414,8 +414,7 @@ class TestFrontSpread:
                          trajectory=[record(0, covered=1),
                                      record(10 ** 6, covered=8)])
         config = spread_config()
-        report = check_front_spread([fast, slow], config, coefficient=1.0,
-                                    threshold=0.9)
+        report = check_front_spread([fast, slow], config, coefficient=1.0)
         assert report.verdict == "FAIL"
         (cell,) = report.cells
         assert cell.passes == 1 and cell.trials == 2
@@ -446,8 +445,7 @@ class TestBorderDistance:
         bad = synthetic(benchmark="omm", n=16, variant="modified", seed=1,
                         trajectory=[record(0, d_pf=8), record(50, d_pf=3),
                                     record(70, d_pf=8)])
-        report = check_border_distance([good, bad], config, coefficient=0.1,
-                                       threshold=0.9)
+        report = check_border_distance([good, bad], config, coefficient=0.1)
         assert report.verdict == "FAIL"  # bad dips below sqrt(16)=4 at t=50
         report = check_border_distance([good], config, coefficient=0.1)
         assert report.verdict == "PASS"
@@ -473,8 +471,7 @@ class TestLowerBoundRuntime:
 
     def test_cubic_data_passes(self):
         report = check_lower_bound_runtime(self.make(lambda n: 2.0 * n ** 3),
-                                           self.config(), epsilon=0.05,
-                                           ratio_window=(5.5, 11.0))
+                                           self.config(), epsilon=0.05)
         assert report.verdict == "PASS"
         labels = [c.cell for c in report.cells]
         assert any("q10" in l for l in labels)
@@ -482,14 +479,12 @@ class TestLowerBoundRuntime:
 
     def test_flat_data_fails_ratio(self):
         report = check_lower_bound_runtime(self.make(lambda n: 5000.0),
-                                           self.config(), epsilon=1e-9,
-                                           ratio_window=(5.5, 11.0))
+                                           self.config(), epsilon=1e-9)
         assert report.verdict == "FAIL"
 
     def test_small_data_fails_q10(self):
         report = check_lower_bound_runtime(self.make(lambda n: 0.01 * n ** 3),
-                                           self.config(), epsilon=0.05,
-                                           ratio_window=(5.5, 11.0))
+                                           self.config(), epsilon=0.05)
         assert report.verdict == "FAIL"
 
     def test_majority_censoring_rejected(self):
@@ -691,6 +686,18 @@ class TestCsvPipeline:
                            match=r"trials\.csv:4: expected 9 fields, got 6"):
             load_results(trials)
 
+    @pytest.mark.parametrize("flag", ["7", "2", "-1", "", "01", "true"])
+    def test_censored_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        # the writer writes int(censored), so any other value is corrupt
+        trials, _ = self.omm_csvs(tmp_path)
+        header, row, *rest = trials.read_text().splitlines(keepends=True)
+        fields = row.rstrip("\r\n").split(",")
+        fields[-1] = flag
+        trials.write_text("".join([header, ",".join(fields) + "\n", *rest]))
+        with pytest.raises(ValueError, match=r"trials\.csv:2: censored must "
+                                             rf"be 0 or 1, got '{flag}'"):
+            load_results(trials)
+
     def test_repeated_trial_id_rejected(self, tmp_path):
         trials, trajs = self.omm_csvs(tmp_path)
         lines = trials.read_text().splitlines(keepends=True)
@@ -742,18 +749,24 @@ class TestCsvPipeline:
 
     def test_truncated_trajectories_rejected(self, tmp_path):
         # a file cut after whole rows: the last trial's rows end before its
-        # runtime_iters, or it has none left
+        # runtime_iters, or it has none left; a file cut before whole rows:
+        # the first trial's rows start after t=0
         trials, trajs = self.omm_csvs(tmp_path)
         header, *rows = trajs.read_bytes().split(b"\r\n")[:-1]
         last = rows[-1].split(b",")[0]
         tid = last.decode()
         kept = [row for row in rows if row.split(b",")[0] != last]
         assert 1 < len(rows) - len(kept) and kept
+        first = rows[0].split(b",")[0]
+        assert first != last and rows[1].split(b",")[0] == first
         for cut, match in ((rows[:-1], rf"'{tid}' end at t=\d+, but the "
                                        rf"trial ran to t=\d+; the file is "
                                        "truncated"),
                            (kept, rf"no rows for trial '{tid}'; the file is "
-                                  "truncated")):
+                                  "truncated"),
+                           (rows[1:], rf"the rows of trial '{first.decode()}' "
+                                      r"start at t=[1-9]\d*, not at t=0; the "
+                                      "file is truncated")):
             trajs.write_bytes(b"\r\n".join([header, *cut, b""]))
             with pytest.raises(ValueError,
                                match=r"trajectories\.csv: .*" + match):
@@ -814,8 +827,7 @@ class TestCsvPipeline:
         config = ExperimentConfig("ojzj", "gsemo", "original",
                                   (12, 16, 20, 24), 4, 0, ks=(2,),
                                   record_trajectories=False)
-        report = check_lower_bound_runtime(results, config, epsilon=0.05,
-                                           ratio_window=(5.5, 11.0))
+        report = check_lower_bound_runtime(results, config, epsilon=0.05)
         gate, fit = check_scaling_exponent(results, config, window=(2.6, 3.5))
         out = tmp_path / "report.csv"
         write_report_csv([report, gate], [fit], out)
