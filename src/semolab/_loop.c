@@ -1,14 +1,20 @@
-/* The standard-bit-mutation iterations of semolab.engine.run_until_cover.
+/* The standard-bit-mutation run loop of semolab.engine.run_until_cover,
+   population update included.
 
    loop_start() prepares a struct whose generator state and members Python
-   has filled in. loop_run() then runs iterations from t + 1 until an
-   offspring changes the population's value set (it returns 1 and leaves
-   the offspring in `child` and its objective pair in f1, f2) or until t
-   reaches the cutoff (it returns 0). Python inserts the offspring with
-   Population.insert and records the change that made to the members, a
-   splice, in lo, hi and slot; the next loop_run() applies it before its
-   first iteration, and loop_splice() applies the last one when the run
-   ends.
+   has filled in. loop_run() then runs iterations from t + 1 and applies
+   Population.insert's update itself: an offspring that changes the
+   population's value set replaces the members it weakly dominates, at
+   the place that first_at[] and a binary search over f2s[] give, with the
+   slot and front flag of its value class (class_of()). loop_run() stops
+   when the population covers the front (it returns 1) or t reaches the
+   cutoff (it returns 0). With `record` set it also returns 1 after every
+   insert it applied, so that Python can measure the change point from
+   the member arrays and call it again.
+
+   loop_run() is the portable build. On x86-64 the same body is also built
+   for CPUs with the popcnt instruction as loop_run_popcnt(), which the
+   loader takes when loop_cpu_has_popcnt() says the CPU has it.
 
    Random numbers come from a copy of the state of the run's random.Random
    and are drawn exactly as CPython's _randommodule.c draws them:
@@ -31,6 +37,7 @@
 
 #define MT_N 624
 #define MT_M 397
+#define INLINE static inline __attribute__((always_inline))
 
 struct loop {
     uint32_t mt[MT_N];       /* random.Random's state words ... */
@@ -40,11 +47,13 @@ struct loop {
     int32_t half;            /* n/2 on cocz, unused otherwise */
     int32_t slot_draw;       /* slot selection over [0, slot_draw); 0: uniform */
     int32_t m;               /* population size */
-    int32_t f1, f2;          /* objective pair of `child` */
-    int32_t lo, hi, slot;    /* pending splice (loop_splice); lo -1: none */
+    int32_t front_count;     /* members with a Pareto-optimal value ... */
+    int32_t front_size;      /* ... and the count at which they cover the front */
+    int32_t record;          /* nonzero: return after every insert */
     int64_t t, cutoff, idle; /* iteration counter, its cutoff, idle draws */
     const double *cdf;       /* n + 1 cumulative flip-count probabilities */
-    const int32_t *values;   /* (f1, f2) by ones count, or NULL on cocz */
+    const int32_t *classes;  /* (f1, f2, slot, front) by ones count, or NULL
+                                on cocz */
     const uint64_t *half_mask; /* first half of a cocz string */
     uint64_t *xs;            /* member bits, `words` per member, f1 order */
     int32_t *f1s, *f2s, *slots;
@@ -54,6 +63,12 @@ struct loop {
     uint64_t *child;         /* the offspring */
     uint32_t out[MT_N];      /* tempered outputs of mt[] */
 };
+
+/* The layout check of the loader: ctypes must see the same size. */
+int loop_sizeof(void)
+{
+    return (int)sizeof(struct loop);
+}
 
 static uint32_t temper(uint32_t y)
 {
@@ -85,7 +100,7 @@ static void twist(uint32_t *restrict mt, uint32_t *restrict out)
 }
 
 /* the next 32-bit output; *mti is the caller's copy of r->mti */
-static inline uint32_t genrand(struct loop *r, int *mti)
+INLINE uint32_t genrand(struct loop *r, int *mti)
 {
     if (*mti >= MT_N) {
         twist(r->mt, r->out);
@@ -94,7 +109,7 @@ static inline uint32_t genrand(struct loop *r, int *mti)
     return r->out[(*mti)++];
 }
 
-static inline double random53(struct loop *r, int *mti)
+INLINE double random53(struct loop *r, int *mti)
 {
     uint32_t a = genrand(r, mti) >> 5;
     uint32_t b = genrand(r, mti) >> 6;
@@ -108,7 +123,7 @@ static int draw_bits(uint32_t v)
 }
 
 /* uniform in [0, v) by the rejection scheme of engine._randbelow */
-static inline uint32_t below(struct loop *r, int *mti, uint32_t v, int bits)
+INLINE uint32_t below(struct loop *r, int *mti, uint32_t v, int bits)
 {
     uint32_t x;
     if (!bits)
@@ -119,12 +134,41 @@ static inline uint32_t below(struct loop *r, int *mti, uint32_t v, int bits)
     return x;
 }
 
-static int popcount(uint64_t x)
+struct value_class {
+    int32_t f1, f2, slot, front;
+};
+
+/* The objective pair, slot and front flag of a string with `ones` ones,
+   `g1` of them in its first half. omm and ojzj read their table, which
+   Python builds from Kernels.values, slot_from_pair and is_front_pair;
+   cocz ignores it, and its slot is the second-half count g2 and its front
+   the strings with g1 = n/2. */
+INLINE struct value_class class_of(const struct loop *r, int ones, int g1)
 {
-    x -= (x >> 1) & 0x5555555555555555ULL;
-    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-    return (int)((x * 0x0101010101010101ULL) >> 56);
+    struct value_class c;
+    if (r->classes) {
+        const int32_t *row = r->classes + 4 * ones;
+        c.f1 = row[0];
+        c.f2 = row[1];
+        c.slot = row[2];
+        c.front = row[3];
+    } else {
+        c.f1 = ones;
+        c.f2 = 2 * g1 + r->half - ones;
+        c.slot = ones - g1;
+        c.front = g1 == r->half;
+    }
+    return c;
+}
+
+/* class_of() for Python: out[] receives f1, f2, slot and the front flag. */
+void loop_class(const struct loop *r, int32_t ones, int32_t g1, int32_t *out)
+{
+    struct value_class c = class_of(r, ones, g1);
+    out[0] = c.f1;
+    out[1] = c.f2;
+    out[2] = c.slot;
+    out[3] = c.front;
 }
 
 /* Rebuild at_slot and first_at from the members. */
@@ -149,57 +193,68 @@ void loop_start(struct loop *r)
     int j;
     for (j = 0; j < MT_N; j++)
         r->out[j] = temper(r->mt[j]);
-    r->lo = -1;
     reindex(r);
 }
 
-/* Apply the pending splice, if any: the members [lo, hi) gave way to
-   `child`, which now sits at lo in slot `slot`, the change
-   Population.insert made. */
-void loop_splice(struct loop *r)
+/* Population.insert for an offspring of class c that no member weakly
+   dominates; idx = first_at[c.f1]. The members it weakly dominates are
+   the range [lo, hi): members left of idx have smaller f1, and those
+   with f2 <= c.f2 are a suffix of them; the member at idx joins if its
+   f1 is c.f1. `child` takes their place. Each of them is strictly
+   dominated, hence not Pareto-optimal, so the front count only gains
+   the offspring's flag. */
+static void insert(struct loop *r, int idx, struct value_class c)
 {
-    const int w = r->words, lo = r->lo, tail = r->m - r->hi;
-    if (lo < 0)
-        return;
-    memmove(r->xs + (size_t)(lo + 1) * w, r->xs + (size_t)r->hi * w,
+    const int w = r->words, m = r->m;
+    const int32_t *const f2s = r->f2s;
+    const int hi = idx < m && r->f1s[idx] == c.f1 ? idx + 1 : idx;
+    const int tail = m - hi;
+    int lo = 0, top = idx;
+    while (lo < top) {
+        int mid = (lo + top) / 2;
+        if (f2s[mid] <= c.f2)
+            top = mid;
+        else
+            lo = mid + 1;
+    }
+    memmove(r->xs + (size_t)(lo + 1) * w, r->xs + (size_t)hi * w,
             (size_t)tail * w * sizeof *r->xs);
-    memmove(r->f1s + lo + 1, r->f1s + r->hi, (size_t)tail * sizeof *r->f1s);
-    memmove(r->f2s + lo + 1, r->f2s + r->hi, (size_t)tail * sizeof *r->f2s);
-    memmove(r->slots + lo + 1, r->slots + r->hi,
+    memmove(r->f1s + lo + 1, r->f1s + hi, (size_t)tail * sizeof *r->f1s);
+    memmove(r->f2s + lo + 1, r->f2s + hi, (size_t)tail * sizeof *r->f2s);
+    memmove(r->slots + lo + 1, r->slots + hi,
             (size_t)tail * sizeof *r->slots);
     memcpy(r->xs + (size_t)lo * w, r->child, (size_t)w * sizeof *r->xs);
-    r->f1s[lo] = r->f1;
-    r->f2s[lo] = r->f2;
-    r->slots[lo] = r->slot;
+    r->f1s[lo] = c.f1;
+    r->f2s[lo] = c.f2;
+    r->slots[lo] = c.slot;
     r->m = lo + 1 + tail;
-    r->lo = -1;
+    r->front_count += c.front;
     reindex(r);
 }
 
-/* Apply the pending splice, then iterate. */
-int loop_run(struct loop *r)
+/* The loop body of both entry points; each inlines it, so that the
+   popcounts compile to the instructions of its target. */
+INLINE int run(struct loop *r)
 {
     const int w = r->words, n = r->n, nbits = draw_bits((uint32_t)n);
     const int slot_draw = r->slot_draw;
     const int sbits = draw_bits((uint32_t)slot_draw);
+    const int record = r->record, front_size = r->front_size;
     const double *const cdf = r->cdf;
-    const int32_t *const values = r->values;
+    const int32_t *const classes = r->classes;
     const uint64_t *const half_mask = r->half_mask;
     const int32_t *const at_slot = r->at_slot, *const first_at = r->first_at;
     const int32_t *const f1s = r->f1s, *const f2s = r->f2s;
     uint64_t *const xs = r->xs, *const child = r->child;
     const int64_t cutoff = r->cutoff;
     int64_t t = r->t, idle = r->idle;
-    int m, mbits, mti, found = 0;
+    int m = r->m, mbits = draw_bits((uint32_t)m), mti = r->mti, found = 0;
 
-    loop_splice(r);
-    m = r->m;
-    mbits = draw_bits((uint32_t)m);
-    mti = r->mti;
     while (t < cutoff) {
         const uint64_t *parent;
+        struct value_class c;
         double u;
-        int k, i, lo, ones = 0, f1, f2;
+        int k, i, ones = 0, g1 = 0;
         t++;
         if (slot_draw) {
             i = at_slot[below(r, &mti, (uint32_t)slot_draw, sbits)];
@@ -226,32 +281,47 @@ int loop_run(struct loop *r)
             k--;
         }
         for (i = 0; i < w; i++)
-            ones += popcount(child[i]);
-        if (values) {
-            f1 = values[2 * ones];
-            f2 = values[2 * ones + 1];
-        } else {
-            int g1 = 0;
+            ones += __builtin_popcountll(child[i]);
+        if (!classes)
             for (i = 0; i < w; i++)
-                g1 += popcount(child[i] & half_mask[i]);
-            f1 = ones;
-            f2 = 2 * g1 + r->half - ones;
-        }
-        lo = first_at[f1];
-        if (lo < m && f2s[lo] >= f2) {
+                g1 += __builtin_popcountll(child[i] & half_mask[i]);
+        c = class_of(r, ones, g1);
+        i = first_at[c.f1];
+        if (i < m && f2s[i] >= c.f2) {
             /* weakly dominated: dropped, or at equal value it takes the
                member's place */
-            if (f2s[lo] == f2 && f1s[lo] == f1)
-                memcpy(xs + (size_t)lo * w, child, (size_t)w * sizeof *child);
+            if (f2s[i] == c.f2 && f1s[i] == c.f1)
+                memcpy(xs + (size_t)i * w, child, (size_t)w * sizeof *child);
             continue;
         }
-        r->f1 = f1;
-        r->f2 = f2;
-        found = 1;
-        break;
+        insert(r, i, c);
+        m = r->m;
+        mbits = draw_bits((uint32_t)m);
+        if (record || r->front_count == front_size) {
+            found = 1;
+            break;
+        }
     }
     r->mti = mti;
     r->t = t;
     r->idle = idle;
     return found;
 }
+
+int loop_run(struct loop *r)
+{
+    return run(r);
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+__attribute__((target("popcnt"))) int loop_run_popcnt(struct loop *r)
+{
+    return run(r);
+}
+
+int loop_cpu_has_popcnt(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("popcnt") != 0;
+}
+#endif

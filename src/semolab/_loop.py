@@ -9,17 +9,22 @@ source and the flags, so an edited source or a changed flag is rebuilt and
 every later process loads the cached file. It is written under a
 temporary name and renamed into place, so processes that build it at the
 same time do not see each other's partial output; a successful build then
-removes the libraries of other sources and flags. When it cannot be built
-or loaded, ``library()`` returns None and the engine runs its Python loop,
-which gives the same results.
+removes the libraries of other sources and flags. The library has a
+portable entry point and, on x86-64, one built for the popcnt instruction;
+``library()`` picks one once per process (``entry_point``). When the
+library cannot be built or loaded, or its ``struct loop`` does not have
+the size of ``Loop``, ``library()`` warns and returns None, and the engine
+runs its Python loop, which gives the same results.
 
-``run`` drives the kernel for one run. The generator state crosses as one
-buffer copy each way, at the start and at the end of the run, and so do
-the member bits. For every offspring that changes the value set it calls
-``Population.insert`` (and the engine's ``measure``) and hands the change
-to the members to the next ``loop_run``, one foreign call per insert. The
-read-only tables (flip-count distribution, objective values, half mask)
-are built once per benchmark instance.
+``run`` drives the kernel for one run, and the kernel applies every
+population update itself. The generator state crosses as one buffer copy
+each way, at the start and at the end of the run, and so do the members:
+their bits, values and slots, and the front count. With trajectories off
+the whole run is one ``loop_run`` call. With them on, the kernel returns
+after every insert, and ``engine.snapshot`` reads the change point from
+zero-copy views of the kernel's member arrays: one foreign call per
+insert. The read-only tables (flip-count distribution, value classes,
+half mask) are built once per benchmark instance.
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ import ctypes
 import hashlib
 import os
 import struct
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain
 
 from . import engine
+from .benchmarks import Kind
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_loop.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
@@ -46,18 +51,18 @@ _i32p = ctypes.POINTER(ctypes.c_int32)
 
 
 class Loop(ctypes.Structure):
-    """``struct loop`` of ``_loop.c``, field for field."""
+    """``struct loop`` of ``_loop.c``, field for field; ``library()``
+    checks its size against ``loop_sizeof()``."""
 
     _fields_ = [("mt", ctypes.c_uint32 * 624), ("mti", ctypes.c_int32),
                 ("n", ctypes.c_int32), ("words", ctypes.c_int32),
                 ("half", ctypes.c_int32), ("slot_draw", ctypes.c_int32),
-                ("m", ctypes.c_int32), ("f1", ctypes.c_int32),
-                ("f2", ctypes.c_int32), ("lo", ctypes.c_int32),
-                ("hi", ctypes.c_int32), ("slot", ctypes.c_int32),
+                ("m", ctypes.c_int32), ("front_count", ctypes.c_int32),
+                ("front_size", ctypes.c_int32), ("record", ctypes.c_int32),
                 ("t", ctypes.c_int64), ("cutoff", ctypes.c_int64),
                 ("idle", ctypes.c_int64),
                 ("cdf", ctypes.POINTER(ctypes.c_double)),
-                ("values", _i32p), ("half_mask", _u64p), ("xs", _u64p),
+                ("classes", _i32p), ("half_mask", _u64p), ("xs", _u64p),
                 ("f1s", _i32p), ("f2s", _i32p), ("slots", _i32p),
                 ("at_slot", _i32p), ("first_at", _i32p), ("child", _u64p),
                 ("out", ctypes.c_uint32 * 624)]
@@ -119,40 +124,74 @@ def library_path() -> str:
     return os.path.join(CACHE_DIR, f"_loop-{digest.hexdigest()}.so")
 
 
+def entry_point(lib):
+    """The loop entry point for this CPU: ``loop_run_popcnt`` where the
+    library has it (x86-64) and the CPU has the instruction, else the
+    portable ``loop_run``."""
+    popcnt = getattr(lib, "loop_run_popcnt", None)
+    if popcnt is not None and lib.loop_cpu_has_popcnt():
+        return popcnt
+    return lib.loop_run
+
+
 @lru_cache(maxsize=None)
 def library():
-    """The loaded kernel, built on first use; None if that fails."""
+    """The loaded kernel, built on first use, with its entry point for
+    this CPU as ``run``; None, with a warning, if that fails."""
     try:
         path = library_path()
         if not os.path.exists(path):
             build(path)
         lib = ctypes.CDLL(path)
-    except OSError:
+        if lib.loop_sizeof() != ctypes.sizeof(Loop):
+            raise OSError(f"struct loop is {lib.loop_sizeof()} bytes in "
+                          f"{path} and {ctypes.sizeof(Loop)} in Loop")
+    except OSError as exc:
+        import warnings
+        warnings.warn(f"the compiled run loop is unavailable ({exc}); GSEMO "
+                      "runs take the Python loop, with the same results, "
+                      "about 13 times slower", RuntimeWarning, stacklevel=2)
         return None
     ref = ctypes.POINTER(Loop)
-    for name, restype in (("loop_start", None), ("loop_run", ctypes.c_int),
-                          ("loop_splice", None)):
-        func = getattr(lib, name)
-        func.argtypes = [ref]
-        func.restype = restype
+    lib.loop_start.argtypes = [ref]
+    lib.loop_start.restype = None
+    lib.loop_class.argtypes = [ref, ctypes.c_int32, ctypes.c_int32, _i32p]
+    lib.loop_class.restype = None
+    for name in ("loop_run", "loop_run_popcnt"):
+        func = getattr(lib, name, None)
+        if func is not None:
+            func.argtypes = [ref]
+            func.restype = ctypes.c_int
+    lib.run = entry_point(lib)
     return lib
 
 
 @lru_cache(maxsize=None)
 def tables(bspec):
     """The kernel's read-only arrays for one benchmark instance: the
-    flip-count distribution, the objective pair of every ones count (None
-    on cocz) and the half mask. The kernel only reads them, so every run
-    of the instance shares them."""
+    flip-count distribution, the class table and the half mask. The class
+    table holds (f1, f2, slot, front flag) for every ones count of omm
+    and ojzj, from ``Kernels.values``, ``slot_from_pair`` and
+    ``is_front_pair``; it is None on cocz, whose classes the kernel
+    computes from the half counts. The kernel only reads the arrays, so
+    every run of the instance shares them."""
     n = bspec.n
     kern = bspec.kernels()
     words = (n + 63) // 64
     cdf = (ctypes.c_double * (n + 1))(*engine._flip_count_cdf(n))
-    values = ((ctypes.c_int32 * (2 * n + 2))(*chain.from_iterable(
-        kern.values)) if kern.values else None)
+    classes = None
+    if kern.values:
+        classes = (ctypes.c_int32 * (4 * n + 4))(*chain.from_iterable(
+            (f1, f2, kern.slot_from_pair(f1, f2), kern.is_front_pair(f1, f2))
+            for f1, f2 in kern.values))
     half_mask = (ctypes.c_uint64 * words).from_buffer_copy(
         kern.half_mask.to_bytes(words * 8, "little"))
-    return cdf, values, half_mask
+    return cdf, classes, half_mask
+
+
+def _ints(array) -> memoryview:
+    """A zero-copy view of a ctypes ``c_int32`` array as Python ints."""
+    return memoryview(array).cast("B").cast("i")
 
 
 def run(lib, state, max_iters: int,
@@ -161,12 +200,14 @@ def run(lib, state, max_iters: int,
     front or reaches ``max_iters``; returns the last iteration and the
     idle draws.
 
-    With ``changes`` a list, ``engine.measure(state)`` is appended to it
-    after every insert, as in the engine's Python loop.
+    Without ``changes`` this is one ``loop_run`` call. With ``changes`` a
+    list, the kernel returns after every insert, and the change point,
+    ``engine.snapshot`` of its member arrays, is appended to it, as
+    ``_python_loop`` appends ``measure(state)``.
     """
     pop = state.pop
     kern = state.kernels
-    xs, f1s, slots = pop.xs, pop.f1s, pop.slots
+    xs = pop.xs
     n = state.n
     words = (n + 63) // 64
     size = words * 8
@@ -179,45 +220,50 @@ def run(lib, state, max_iters: int,
     i32, u64 = ctypes.c_int32, ctypes.c_uint64
     bits = (u64 * (words * cap)).from_buffer_copy(b"".join(
         x.to_bytes(size, "little") for x in xs).ljust(size * cap, b"\0"))
-    child = (u64 * words)()
-    cdf, values, half_mask = tables(state.bspec)
+    f1s, f2s, slots = ((i32 * cap)(*a) for a in (pop.f1s, pop.f2s, pop.slots))
+    cdf, classes, half_mask = tables(state.bspec)
     version, internal, gauss = state.rng.getstate()
+    front_size = kern.front_size
     # the struct keeps every buffer assigned to it alive
     r = Loop(mti=internal[624], n=n, words=words, half=n // 2,
-             slot_draw=slot_draw, m=len(xs),
+             slot_draw=slot_draw, m=len(xs), front_count=pop.front_count,
+             front_size=front_size, record=changes is not None,
              # a field wraps silently; no run reaches 2^63 iterations
              cutoff=min(max_iters, 2 ** 63 - 1),
-             cdf=cdf, values=values, half_mask=half_mask,
-             xs=bits, f1s=(i32 * cap)(*f1s), f2s=(i32 * cap)(*pop.f2s),
-             slots=(i32 * cap)(*slots), at_slot=(i32 * max(slot_draw, 1))(),
+             cdf=cdf, classes=classes, half_mask=half_mask, xs=bits,
+             f1s=f1s, f2s=f2s, slots=slots,
+             at_slot=(i32 * max(slot_draw, 1))(),
              # objective values lie in [0, 2n]: ones counts, plus the gap
              # on ojzj
-             first_at=(i32 * (2 * n + 1))(), child=child)
+             first_at=(i32 * (2 * n + 1))(), child=(u64 * words)())
     struct.pack_into(MT_FORMAT, r, Loop.mt.offset, *internal[:624])
     ref = ctypes.byref(r)
     lib.loop_start(ref)
-    loop_run = lib.loop_run
-    insert = pop.insert
-    front_size = kern.front_size
-    from_bytes = int.from_bytes
-    while loop_run(ref):
-        f1 = r.f1
-        m = len(xs)
-        insert(from_bytes(child, "little"), f1, r.f2)
-        # the splice the next loop_run applies
-        r.lo = lo = bisect_left(f1s, f1)
-        r.hi = lo + m + 1 - len(xs)
-        r.slot = slots[lo]
-        if changes is not None:
-            state.t = r.t
-            changes.append(engine.measure(state))
-        if pop.front_count == front_size:
-            break
-    lib.loop_splice(ref)
+    if changes is None:
+        lib.run(ref)
+    else:
+        snapshot = engine.snapshot
+        half = n // 2 if state.bspec.kind is Kind.COCZ else None
+        f1v, f2v, slotv = _ints(f1s), _ints(f2s), _ints(slots)
+        loop_run = lib.run
+        while loop_run(ref):
+            m = r.m
+            changes.append(snapshot(r.t, f1v[:m], f2v[:m], slotv[:m],
+                                    r.front_count, kern, half))
+            if r.front_count == front_size:
+                break
+    m = r.m
     raw = bytes(bits)
+    from_bytes = int.from_bytes
     xs[:] = [from_bytes(raw[i:i + size], "little")
-             for i in range(0, len(xs) * size, size)]
-    pop._by_slot.update(zip(slots, xs))
+             for i in range(0, m * size, size)]
+    pop.f1s[:] = f1s[:m]
+    pop.f2s[:] = f2s[:m]
+    pop.slots[:] = slots[:m]
+    by_slot = pop._by_slot
+    by_slot.clear()
+    by_slot.update(zip(pop.slots, xs))
+    pop.front_count = r.front_count
     mt = struct.unpack_from(MT_FORMAT, r, Loop.mt.offset)
     state.rng.setstate((version, mt + (r.mti,), gauss))
     return r.t, r.idle

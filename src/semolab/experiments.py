@@ -796,12 +796,14 @@ def load_results(trials_path, trajectories_path=None, *,
     ``interior_init`` (None: unknown), which the caller takes from the
     run's configuration. A malformed row, a repeated trial id in the
     trials file or an unknown one in the trajectories file raises
-    ``ValueError`` naming the file and line, and so does a ``censored``
-    field other than 0 or 1. A trial whose rows are missing, do not start
-    at t=0 or do not end at its ``runtime_iters``, as in a file cut
-    before or after whole rows, or a last row without its line break, as
-    in a file cut inside a row, raises ``ValueError`` naming the file and
-    the trial.
+    ``ValueError`` naming the file and line, and so do a ``censored``
+    field other than 0 or 1 and runtimes that no run makes:
+    ``runtime_iters < 0``, ``runtime_evals < 1`` or ``runtime_evals >
+    runtime_iters + 1``. A trial whose rows are missing, do not start at
+    t=0 or do not end at its ``runtime_iters``, as in a file cut before or
+    after whole rows, or a last row without its line break, as in a file
+    cut inside a row, raises ``ValueError`` naming the file and the
+    trial.
 
     The trajectories file is read line by line in the unquoted form that
     ``write_trajectories_csv`` writes, and its rows are parsed once per
@@ -826,12 +828,18 @@ def load_results(trials_path, trajectories_path=None, *,
                 if censored not in ("0", "1"):
                     raise ValueError(f"censored must be 0 or 1, got "
                                      f"{censored!r}")
+                # a run of t iterations made t + 1 - idle evaluations
+                evals, iters = int(runtime_evals), int(runtime_iters)
+                if iters < 0 or not 1 <= evals <= iters + 1:
+                    raise ValueError(
+                        f"impossible runtimes: runtime_evals={evals} and "
+                        f"runtime_iters={iters} need 0 <= runtime_iters and "
+                        f"1 <= runtime_evals <= runtime_iters + 1")
                 result = TrialResult(
                     benchmark=benchmark, n=int(n),
                     k=int(k) if k != "" else None,
                     algorithm=algorithm, variant=variant, seed=int(seed),
-                    runtime_evals=int(runtime_evals),
-                    runtime_iters=int(runtime_iters),
+                    runtime_evals=evals, runtime_iters=iters,
                     censored=censored == "1",
                     final_pop_size=-1, final_covered=-1,
                     final_front_covered=-1.0,

@@ -276,6 +276,18 @@ class TestReport:
         assert ("trials.csv:2: censored must be 0 or 1, got '7'"
                 in capsys.readouterr().err)
 
+    def test_impossible_runtimes_diagnosed(self, tmp_path, capsys):
+        out = self.make_run(tmp_path)
+        header, row, *rest = (out / "trials.csv").read_text().splitlines(
+            keepends=True)
+        fields = row.split(",")
+        fields[6] = "-3"
+        (out / "trials.csv").write_text("".join([header, ",".join(fields),
+                                                 *rest]))
+        assert run_cli("report", "--out", str(out)) == 2
+        assert ("trials.csv:2: impossible runtimes: runtime_evals=-3"
+                in capsys.readouterr().err)
+
     def semo_ojzj_run(self, tmp_path, interior):
         out = tmp_path / f"semo-{interior}"
         code = run_cli("run", "--benchmark", "ojzj", "--n", "10", "--k", "2",

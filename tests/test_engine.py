@@ -680,11 +680,16 @@ class TestSampleSchedule:
 
     @pytest.mark.parametrize("record", [True, False])
     def test_measure_once_per_insert(self, monkeypatch, record):
-        # with trajectories on, the loop measures at t=0 (after the first
-        # insert) and after every later insert, and nowhere else; with them
-        # off it measures the final state once
-        counts = {"insert": 0, "measure": 0}
-        real_insert, real_measure = Population.insert, engine.measure
+        # with trajectories on, the loop takes a change point at t=0 (after
+        # the first insert) and after every later insert, and nowhere else;
+        # with them off it measures the final state once. The Python loop
+        # inserts through Population.insert and measures with ``measure``;
+        # the kernel applies its inserts itself (Population.insert runs for
+        # the initial individual only) and takes each later change point
+        # with ``snapshot`` of its arrays, as many as the Python loop's
+        counts = {"insert": 0, "measure": 0, "snapshot": 0}
+        real_insert = Population.insert
+        real_measure, real_snapshot = engine.measure, engine.snapshot
 
         def insert(self, *args):
             counts["insert"] += 1
@@ -694,19 +699,48 @@ class TestSampleSchedule:
             counts["measure"] += 1
             return real_measure(*args, **kwargs)
 
+        def counted_snapshot(*args, **kwargs):
+            counts["snapshot"] += 1
+            return real_snapshot(*args, **kwargs)
+
         monkeypatch.setattr(Population, "insert", insert)
         monkeypatch.setattr(engine, "measure", counted_measure)
+        monkeypatch.setattr(engine, "snapshot", counted_snapshot)
         for (kind, n, k, interior), alg_name, variant in itertools.product(
                 FINGERPRINT_CASES, ("semo", "gsemo"), ("original", "modified")):
             alg = AlgorithmSpec.from_names(alg_name, variant, 3000)
+            kernel = alg_name == "gsemo" and _loop.library() is not None
             for seed in range(2):
-                counts.update(insert=0, measure=0)
-                run_until_cover(BenchmarkSpec(kind, n, k), alg, seed,
-                                interior_init=interior,
-                                record_trajectory=record, sample_at=(1, 50))
-                assert counts["insert"] > 1
-                assert counts["measure"] == (counts["insert"] if record
+                args = (BenchmarkSpec(kind, n, k), alg, seed)
+                kwargs = dict(interior_init=interior,
+                              record_trajectory=record, sample_at=(1, 50))
+                inserts = python_loop_inserts(monkeypatch, *args, **kwargs)
+                counts.update(insert=0, measure=0, snapshot=0)
+                run_until_cover(*args, **kwargs)
+                assert inserts > 1
+                assert counts["snapshot"] == (inserts if record else 1)
+                assert counts["insert"] == (1 if kernel else inserts)
+                assert counts["measure"] == (inserts if record and not kernel
                                              else 1)
+
+
+def python_loop_inserts(monkeypatch, *args, **kwargs) -> int:
+    """The ``Population.insert`` calls of ``run_until_cover(*args,
+    **kwargs)`` on the Python loop: the initial individual and every
+    offspring that changed the value set."""
+    inserts = 0
+    real_insert = Population.insert
+
+    def insert(self, *a):
+        nonlocal inserts
+        inserts += 1
+        return real_insert(self, *a)
+
+    with monkeypatch.context() as m:
+        m.setattr(_loop, "library", lambda: None)
+        m.setattr(Population, "insert", insert)
+        run_until_cover(*args, **kwargs)
+    return inserts
 
 
 def omm9_trial(trajectory, end):
@@ -813,24 +847,17 @@ class TestTrajectory:
 
     def test_runs_per_insert(self, monkeypatch):
         # the trajectory is stored per change point, not per tick: at most
-        # one run per insert, plus one each for t=0 and the last sample
-        inserts = 0
-        real_insert = Population.insert
-
-        def insert(self, *args):
-            nonlocal inserts
-            inserts += 1
-            return real_insert(self, *args)
-
-        monkeypatch.setattr(Population, "insert", insert)
+        # one run per insert, plus one each for t=0 and the last sample.
+        # The inserts are counted on the Python loop, whose trajectory the
+        # kernel's equals
         for (kind, n, k, interior), alg_name, variant in itertools.product(
                 FINGERPRINT_CASES, ("semo", "gsemo"), ("original", "modified")):
             alg = AlgorithmSpec.from_names(alg_name, variant, 3000)
             for seed in range(2):
-                inserts = 0
-                traj = run_until_cover(BenchmarkSpec(kind, n, k), alg, seed,
-                                       interior_init=interior,
-                                       sample_at=(1, 50)).trajectory
+                args = (BenchmarkSpec(kind, n, k), alg, seed)
+                kwargs = dict(interior_init=interior, sample_at=(1, 50))
+                inserts = python_loop_inserts(monkeypatch, *args, **kwargs)
+                traj = run_until_cover(*args, **kwargs).trajectory
                 assert inserts > 1
                 assert len(traj.runs) <= inserts + 2 < len(traj)
 

@@ -698,6 +698,38 @@ class TestCsvPipeline:
                                              rf"be 0 or 1, got '{flag}'"):
             load_results(trials)
 
+    @pytest.mark.parametrize("evals,iters", [
+        ("5", "-1"),   # runtime_iters < 0
+        ("0", "7"),    # runtime_evals < 1
+        ("-3", "7"),
+        ("9", "7"),    # runtime_evals > runtime_iters + 1
+    ])
+    def test_impossible_runtimes_rejected(self, tmp_path, evals, iters):
+        # a run of t iterations makes t + 1 - idle evaluations, idle <= t
+        trials, _ = self.omm_csvs(tmp_path)
+        header, row, *rest = trials.read_text().splitlines(keepends=True)
+        fields = row.rstrip("\r\n").split(",")
+        fields[6:8] = evals, iters
+        trials.write_text("".join([header, ",".join(fields) + "\n", *rest]))
+        with pytest.raises(ValueError, match=r"trials\.csv:2: impossible "
+                                             rf"runtimes: runtime_evals="
+                                             rf"{evals} and runtime_iters="
+                                             rf"{iters}"):
+            load_results(trials)
+
+    @pytest.mark.parametrize("evals,iters", [("1", "0"), ("1", "7"),
+                                             ("8", "7")])
+    def test_extreme_possible_runtimes_load(self, tmp_path, evals, iters):
+        # every offspring idle, and no draw idle
+        trials, _ = self.omm_csvs(tmp_path)
+        header, row, *rest = trials.read_text().splitlines(keepends=True)
+        fields = row.rstrip("\r\n").split(",")
+        fields[6:8] = evals, iters
+        trials.write_text("".join([header, ",".join(fields) + "\n", *rest]))
+        loaded = load_results(trials)
+        assert (loaded[0].runtime_evals, loaded[0].runtime_iters) == (
+            int(evals), int(iters))
+
     def test_repeated_trial_id_rejected(self, tmp_path):
         trials, trajs = self.omm_csvs(tmp_path)
         lines = trials.read_text().splitlines(keepends=True)

@@ -6,16 +6,20 @@ the final members and ``rng.getstate()``. The Python path is chosen by
 replacing the loader, as a machine without a compiler would.
 """
 
+import ctypes
 import itertools
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
 
 from semolab import _loop, engine
 from semolab.benchmarks import BenchmarkSpec, Kind
+from semolab.core import Population
 from semolab.engine import AlgorithmSpec, _flip_count_cdf, run_until_cover
 from semolab.experiments import ExperimentConfig, run_grid
 
@@ -42,6 +46,17 @@ def kernel():
     return lib
 
 
+def entry_points(lib):
+    """The kernel's entry points that this machine runs: the portable
+    build, and the popcnt build where the library has one and the CPU has
+    the instruction."""
+    found = [lib.loop_run]
+    popcnt = getattr(lib, "loop_run_popcnt", None)
+    if popcnt is not None and lib.loop_cpu_has_popcnt():
+        found.append(popcnt)
+    return found
+
+
 def outcome(monkeypatch, compiled, spec, alg, seed, rig=None, **kwargs):
     """A run's result, final members and generator state on one path.
 
@@ -63,6 +78,7 @@ def outcome(monkeypatch, compiled, spec, alg, seed, rig=None, **kwargs):
         result = run_until_cover(spec, alg, seed, **kwargs)
     (state,) = states
     pop = state.pop
+    pop.check_invariants()
     return (result, state.t, pop.xs, pop.f1s, pop.f2s, pop.slots,
             pop._by_slot, pop.front_count, state.rng.getstate())
 
@@ -93,17 +109,20 @@ CUTOFFS = (0, 1, 37, 3000)
 def test_kernel_matches_python_loop(monkeypatch, kernel, n):
     # word boundaries (31..33, 63..65, 127..129), interior starts, slot
     # draws past the last slot and short of it, cutoffs inside a run and
-    # at its first two iterations, trajectories on and off
-    for (spec, interior), (variant, offset), cutoff, record, seed in \
-            itertools.product(specs(n), SELECTIONS, CUTOFFS, (False, True),
-                              range(2)):
-        alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
-        args = (spec, alg, seed)
-        kwargs = dict(interior_init=interior, record_trajectory=record,
-                      slot_count_offset=offset)
-        assert outcome(monkeypatch, True, *args, **kwargs) == \
-            outcome(monkeypatch, False, *args, **kwargs), (spec, alg, seed,
-                                                           kwargs)
+    # at its first two iterations, trajectories on and off, on each entry
+    # point
+    for entry in entry_points(kernel):
+        monkeypatch.setattr(kernel, "run", entry)
+        for (spec, interior), (variant, offset), cutoff, record, seed in \
+                itertools.product(specs(n), SELECTIONS, CUTOFFS,
+                                  (False, True), range(2)):
+            alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+            args = (spec, alg, seed)
+            kwargs = dict(interior_init=interior, record_trajectory=record,
+                          slot_count_offset=offset)
+            assert outcome(monkeypatch, True, *args, **kwargs) == \
+                outcome(monkeypatch, False, *args, **kwargs), (
+                    entry, spec, alg, seed, kwargs)
 
 
 @needs_compiler
@@ -144,20 +163,144 @@ def test_run_starts_anywhere_in_the_block(monkeypatch, kernel, mti):
 
 @needs_compiler
 def test_runs_resume_after_inserts_inside_a_block(monkeypatch, kernel):
-    # every insert hands control back to Python part way through a block
-    # of 624 words; cutoffs end runs between two inserts, between an
-    # insert and a twist, and at the insert that covers the front, after
-    # which the last splice is applied when the run ends
+    # with trajectories on, every insert hands control back to Python part
+    # way through a block of 624 words; with them off the kernel applies
+    # the insert and goes on. Cutoffs end runs between two inserts, between
+    # an insert and a twist, and at the insert that covers the front
     covered = set()
-    for n, cutoff, variant, mti in itertools.product(
-            (4, 8), range(1, 60), ("original", "modified"), (500, 610)):
+    for n, cutoff, variant, mti, record in itertools.product(
+            (4, 8), range(1, 60), ("original", "modified"), (500, 610),
+            (True, False)):
         spec = BenchmarkSpec(Kind.OMM, n)
         alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
-        compiled = outcome(monkeypatch, True, spec, alg, 2, at_index(mti))
-        assert compiled == outcome(monkeypatch, False, spec, alg, 2,
-                                   at_index(mti)), (n, cutoff, variant, mti)
+        args = (spec, alg, 2, at_index(mti))
+        compiled = outcome(monkeypatch, True, *args, record_trajectory=record)
+        assert compiled == outcome(monkeypatch, False, *args,
+                                   record_trajectory=record), (
+            n, cutoff, variant, mti, record)
         covered.add(not compiled[0].censored)
     assert covered == {False, True}
+
+
+@needs_compiler
+def test_run_without_trajectories_is_one_call(monkeypatch, kernel):
+    # the kernel applies every insert itself: one loop_run per run, and
+    # Population.insert only for the initial individual
+    calls = 0
+    real_run = kernel.run
+    real_insert = Population.insert
+
+    def counted_run(ref):
+        nonlocal calls
+        calls += 1
+        return real_run(ref)
+
+    def first_insert_only(pop, *args):
+        if len(pop):
+            raise AssertionError("Population.insert after the initial "
+                                 "individual")
+        return real_insert(pop, *args)
+
+    monkeypatch.setattr(kernel, "run", counted_run)
+    monkeypatch.setattr(Population, "insert", first_insert_only)
+    for spec, variant in itertools.product(
+            (BenchmarkSpec(Kind.COCZ, 32), BenchmarkSpec(Kind.OMM, 33),
+             BenchmarkSpec(Kind.OJZJ, 12, 2)), ("original", "modified")):
+        calls = 0
+        result = run_until_cover(spec, AlgorithmSpec.from_names(
+            "gsemo", variant), 4, record_trajectory=False)
+        assert not result.censored
+        assert calls == 1, (spec, variant)
+
+
+@needs_compiler
+def test_struct_layout_matches(kernel, tmp_path):
+    # a field order or type that differs between struct loop and Loop
+    # would corrupt memory without an error. The size alone misses a field
+    # whose type differs within the padding before the next one, so a
+    # probe compiled with the source prints the offset and size of every
+    # field of Loop by name
+    assert kernel.loop_sizeof() == ctypes.sizeof(_loop.Loop)
+    names = [name for name, _ in _loop.Loop._fields_]
+    probe = tmp_path / "probe.c"
+    probe.write_text(
+        "#include <stddef.h>\n#include <stdio.h>\n"
+        f'#include "{_loop.SOURCE}"\n'
+        "#define FIELD(f) printf(\"%zu %zu\\n\", offsetof(struct loop, f), "
+        "sizeof(((struct loop *)0)->f))\n"
+        "int main(void)\n{\n"
+        + "".join(f"    FIELD({name});\n" for name in names)
+        + "    return 0;\n}\n")
+    exe = tmp_path / "probe"
+    subprocess.run([*compiler(), "-o", str(exe), str(probe)], check=True)
+    out = subprocess.run([str(exe)], check=True, stdout=subprocess.PIPE,
+                         text=True).stdout.split()
+    got = list(zip(names, map(int, out[::2]), map(int, out[1::2])))
+    assert got == [(name, getattr(_loop.Loop, name).offset,
+                    getattr(_loop.Loop, name).size) for name in names]
+
+
+def kernel_class(kernel, spec, ones, g1=0):
+    """(f1, f2, slot, front flag) that the kernel gives a string of spec
+    with ``ones`` ones, ``g1`` of them in the first half."""
+    n = spec.n
+    _, classes, _ = _loop.tables(spec)
+    r = _loop.Loop(n=n, half=n // 2, classes=classes)
+    out = (ctypes.c_int32 * 4)()
+    kernel.loop_class(ctypes.byref(r), ones, g1, out)
+    return tuple(out)
+
+
+@needs_compiler
+def test_value_classes_match_the_kernels(kernel):
+    # the kernel's second definition of the update's slot and front flag
+    # against the Kernels callables: every ones count of omm and ojzj, and
+    # every (g1, g2) of cocz
+    for n in range(2, 131):
+        specs = [BenchmarkSpec(Kind.OMM, n)]
+        specs += [BenchmarkSpec(Kind.OJZJ, n, k) for k in (2, 3) if k <= n]
+        for spec in specs:
+            kern = spec.kernels()
+            for ones in range(n + 1):
+                f1, f2 = kern.evaluate((1 << ones) - 1)
+                assert kernel_class(kernel, spec, ones) == (
+                    f1, f2, kern.slot_from_pair(f1, f2),
+                    kern.is_front_pair(f1, f2)), (spec, ones)
+    for n in range(2, 17, 2):
+        spec = BenchmarkSpec(Kind.COCZ, n)
+        kern = spec.kernels()
+        half = n // 2
+        for g1, g2 in itertools.product(range(half + 1), repeat=2):
+            f1, f2 = kern.evaluate((1 << g1) - 1 | ((1 << g2) - 1) << half)
+            assert kernel_class(kernel, spec, g1 + g2, g1) == (
+                f1, f2, kern.slot_from_pair(f1, f2),
+                kern.is_front_pair(f1, f2)), (spec, g1, g2)
+
+
+def test_entry_point_dispatch():
+    # the popcnt build only where the library has it and the CPU has the
+    # instruction; otherwise, as on every target but x86-64, the portable
+    # build, and never no entry point at all
+    def lib(cpu=None):
+        fake = types.SimpleNamespace(loop_run="portable")
+        if cpu is not None:
+            fake.loop_run_popcnt = "popcnt"
+            fake.loop_cpu_has_popcnt = lambda: cpu
+        return fake
+
+    assert _loop.entry_point(lib()) == "portable"
+    assert _loop.entry_point(lib(cpu=0)) == "portable"
+    assert _loop.entry_point(lib(cpu=1)) == "popcnt"
+
+
+@needs_compiler
+def test_loader_takes_the_popcnt_build_where_it_can(kernel):
+    if platform.machine() not in ("x86_64", "AMD64"):
+        assert kernel.run is kernel.loop_run
+    elif kernel.loop_cpu_has_popcnt():
+        assert kernel.run is kernel.loop_run_popcnt
+    else:
+        assert kernel.run is kernel.loop_run
 
 
 @needs_compiler
@@ -212,10 +355,12 @@ def uniform_words(u: float) -> list[int]:
 def test_flip_count_ties(monkeypatch, kernel, n):
     # the flip count is the least k with u <= cdf[k]; u is placed on
     # cdf[0], cdf[1] and cdf[2] exactly, where a strict comparison would
-    # draw one more position
+    # draw one more position; on each entry point
     cdf = _flip_count_cdf(n)
     spec = BenchmarkSpec(Kind.OMM, n)
-    for j, variant in itertools.product(range(3), ("original", "modified")):
+    for entry, j, variant in itertools.product(
+            entry_points(kernel), range(3), ("original", "modified")):
+        monkeypatch.setattr(kernel, "run", entry)
         if not (cdf[j] * 2 ** 53).is_integer():
             continue
         alg = AlgorithmSpec.from_names("gsemo", variant, 3)
@@ -230,7 +375,8 @@ def test_flip_count_ties(monkeypatch, kernel, n):
             next_outputs(state.rng, words)
 
         python = outcome(monkeypatch, False, spec, alg, 5, rig)
-        assert python == outcome(monkeypatch, True, spec, alg, 5, rig), j
+        assert python == outcome(monkeypatch, True, spec, alg, 5, rig), (
+            entry, j)
 
 
 def test_rigged_draws_reach_the_loop():
@@ -284,6 +430,13 @@ def test_a_build_removes_stale_libraries(cold_cache):
     assert _loop.library() is not None
     assert [p.name for p in cold_cache.iterdir()] == [
         os.path.basename(_loop.library_path())]
+
+
+def test_failed_build_warns(monkeypatch, cold_cache):
+    # without a kernel GSEMO takes the Python loop, but never silently
+    monkeypatch.setattr(_loop, "compilers", lambda: [["no-such-compiler"]])
+    with pytest.warns(RuntimeWarning, match="Python loop"):
+        assert _loop.library() is None
 
 
 def test_cache_key_covers_the_flags(monkeypatch):
