@@ -37,6 +37,8 @@
 
 #define MT_N 624
 #define MT_M 397
+/* the hot helpers are inlined into both entry points even where their
+   target options differ */
 #define INLINE static inline __attribute__((always_inline))
 
 struct loop {

@@ -143,6 +143,8 @@ def library():
         if not os.path.exists(path):
             build(path)
         lib = ctypes.CDLL(path)
+        lib.loop_sizeof.argtypes = []
+        lib.loop_sizeof.restype = ctypes.c_int
         if lib.loop_sizeof() != ctypes.sizeof(Loop):
             raise OSError(f"struct loop is {lib.loop_sizeof()} bytes in "
                           f"{path} and {ctypes.sizeof(Loop)} in Loop")
@@ -153,15 +155,18 @@ def library():
                       "about 13 times slower", RuntimeWarning, stacklevel=2)
         return None
     ref = ctypes.POINTER(Loop)
-    lib.loop_start.argtypes = [ref]
-    lib.loop_start.restype = None
-    lib.loop_class.argtypes = [ref, ctypes.c_int32, ctypes.c_int32, _i32p]
-    lib.loop_class.restype = None
-    for name in ("loop_run", "loop_run_popcnt"):
+    i32, c_int = ctypes.c_int32, ctypes.c_int
+    for name, argtypes, restype in (
+            ("loop_start", [ref], None),
+            ("loop_class", [ref, i32, i32, _i32p], None),
+            ("loop_run", [ref], c_int),
+            # x86-64 only
+            ("loop_run_popcnt", [ref], c_int),
+            ("loop_cpu_has_popcnt", [], c_int)):
         func = getattr(lib, name, None)
         if func is not None:
-            func.argtypes = [ref]
-            func.restype = ctypes.c_int
+            func.argtypes = argtypes
+            func.restype = restype
     lib.run = entry_point(lib)
     return lib
 
