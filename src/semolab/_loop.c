@@ -1,20 +1,22 @@
 /* The standard-bit-mutation run loop of semolab.engine.run_until_cover,
-   population update included.
+   population update and change points included.
 
    loop_start() prepares a struct whose generator state and members Python
    has filled in. loop_run() then runs iterations from t + 1 and applies
    Population.insert's update itself: an offspring that changes the
    population's value set replaces the members it weakly dominates, at
    the place that first_at[] and a binary search over f2s[] give, with the
-   slot and front flag of its value class (class_of()). loop_run() stops
-   when the population covers the front (it returns 1) or t reaches the
-   cutoff (it returns 0). With `record` set it also returns 1 after every
-   insert it applied, so that Python can measure the change point from
-   the member arrays and call it again.
+   slot and front flag of its value class (class_of()). With `points` set
+   it also writes the change point after every insert into points[]
+   (record()), so that a run with trajectories is one call as well.
+   loop_run() returns 1 when the population covers the front, 0 when t
+   reaches the cutoff, and 2 when points[] is full, which Python drains
+   before it calls again; a full buffer at the covering insert returns 1.
 
-   loop_run() is the portable build. On x86-64 the same body is also built
-   for CPUs with the popcnt instruction as loop_run_popcnt(), which the
-   loader takes when loop_cpu_has_popcnt() says the CPU has it.
+   loop_run() is the portable build, which counts bits inline
+   (swar_popcount()). On x86-64 the same body is also built for CPUs with
+   the popcnt instruction as loop_run_popcnt(), which the loader takes
+   when loop_cpu_has_popcnt() says the CPU has it.
 
    Random numbers come from a copy of the state of the run's random.Random
    and are drawn exactly as CPython's _randommodule.c draws them:
@@ -51,8 +53,10 @@ struct loop {
     int32_t m;               /* population size */
     int32_t front_count;     /* members with a Pareto-optimal value ... */
     int32_t front_size;      /* ... and the count at which they cover the front */
-    int32_t record;          /* nonzero: return after every insert */
+    int32_t span;            /* slot span, for the border distance */
+    int32_t npoints, cap;    /* change points in points[], and its room */
     int64_t t, cutoff, idle; /* iteration counter, its cutoff, idle draws */
+    int64_t *points;         /* 6 words per change point, or NULL: none kept */
     const double *cdf;       /* n + 1 cumulative flip-count probabilities */
     const int32_t *classes;  /* (f1, f2, slot, front) by ones count, or NULL
                                 on cocz */
@@ -134,6 +138,23 @@ INLINE uint32_t below(struct loop *r, int *mti, uint32_t v, int bits)
         x = genrand(r, mti) >> (32 - bits);
     while (x >= v);
     return x;
+}
+
+/* Bit count without the popcnt instruction: the portable build would
+   otherwise call libgcc's __popcountdi2 for every word. */
+INLINE int swar_popcount(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (int)((x * 0x0101010101010101ULL) >> 56);
+}
+
+/* The instruction where the caller is built for it (hw), else the
+   inline fallback. */
+INLINE int popcount(uint64_t x, int hw)
+{
+    return hw ? __builtin_popcountll(x) : swar_popcount(x);
 }
 
 struct value_class {
@@ -234,14 +255,56 @@ static void insert(struct loop *r, int idx, struct value_class c)
     reindex(r);
 }
 
-/* The loop body of both entry points; each inlines it, so that the
-   popcounts compile to the instructions of its target. */
-INLINE int run(struct loop *r)
+/* Write the change point after an insert at iteration t, with the
+   fields and formulas of engine.measure: t, the population size, on cocz
+   the best cooperative level (top - n/2) / 2 from the largest f1 + f2
+   and the count of members at it (elsewhere -1 for None, twice), the
+   border distance min(min(slots), span - max(slots)) and the front
+   count. */
+static void record(struct loop *r, int64_t t)
+{
+    const int m = r->m;
+    const int32_t *const f1s = r->f1s, *const f2s = r->f2s;
+    const int32_t *const slots = r->slots;
+    int64_t *const p = r->points + 6 * (size_t)r->npoints++;
+    int i, lo = slots[0], hi = slots[0], top = -1, count = -1;
+    for (i = 1; i < m; i++) {
+        if (slots[i] < lo)
+            lo = slots[i];
+        if (slots[i] > hi)
+            hi = slots[i];
+    }
+    if (!r->classes) {
+        top = f1s[0] + f2s[0];
+        count = 0;
+        for (i = 0; i < m; i++) {
+            const int sum = f1s[i] + f2s[i];
+            if (sum > top) {
+                top = sum;
+                count = 1;
+            } else if (sum == top) {
+                count++;
+            }
+        }
+        top = (top - r->half) >> 1;
+    }
+    p[0] = t;
+    p[1] = m;
+    p[2] = top;
+    p[3] = count;
+    p[4] = lo < r->span - hi ? lo : r->span - hi;
+    p[5] = r->front_count;
+}
+
+/* The loop body of both entry points; each inlines it with its own hw,
+   so that the popcounts compile to the instructions of its target. */
+INLINE int run(struct loop *r, int hw)
 {
     const int w = r->words, n = r->n, nbits = draw_bits((uint32_t)n);
     const int slot_draw = r->slot_draw;
     const int sbits = draw_bits((uint32_t)slot_draw);
-    const int record = r->record, front_size = r->front_size;
+    const int front_size = r->front_size;
+    const int64_t *const points = r->points;
     const double *const cdf = r->cdf;
     const int32_t *const classes = r->classes;
     const uint64_t *const half_mask = r->half_mask;
@@ -283,10 +346,10 @@ INLINE int run(struct loop *r)
             k--;
         }
         for (i = 0; i < w; i++)
-            ones += __builtin_popcountll(child[i]);
+            ones += popcount(child[i], hw);
         if (!classes)
             for (i = 0; i < w; i++)
-                g1 += __builtin_popcountll(child[i] & half_mask[i]);
+                g1 += popcount(child[i] & half_mask[i], hw);
         c = class_of(r, ones, g1);
         i = first_at[c.f1];
         if (i < m && f2s[i] >= c.f2) {
@@ -299,8 +362,14 @@ INLINE int run(struct loop *r)
         insert(r, i, c);
         m = r->m;
         mbits = draw_bits((uint32_t)m);
-        if (record || r->front_count == front_size) {
+        if (points)
+            record(r, t);
+        if (r->front_count == front_size) {
             found = 1;
+            break;
+        }
+        if (points && r->npoints == r->cap) {
+            found = 2;
             break;
         }
     }
@@ -312,13 +381,13 @@ INLINE int run(struct loop *r)
 
 int loop_run(struct loop *r)
 {
-    return run(r);
+    return run(r, 0);
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 __attribute__((target("popcnt"))) int loop_run_popcnt(struct loop *r)
 {
-    return run(r);
+    return run(r, 1);
 }
 
 int loop_cpu_has_popcnt(void)

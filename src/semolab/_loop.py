@@ -19,12 +19,13 @@ runs its Python loop, which gives the same results.
 ``run`` drives the kernel for one run, and the kernel applies every
 population update itself. The generator state crosses as one buffer copy
 each way, at the start and at the end of the run, and so do the members:
-their bits, values and slots, and the front count. With trajectories off
-the whole run is one ``loop_run`` call. With them on, the kernel returns
-after every insert, and ``engine.snapshot`` reads the change point from
-zero-copy views of the kernel's member arrays: one foreign call per
-insert. The read-only tables (flip-count distribution, value classes,
-half mask) are built once per benchmark instance.
+their bits, values and slots, and the front count. The whole run is one
+``loop_run`` call. With trajectories on, the kernel also writes the change
+point after every insert into a buffer of ``POINTS`` points, which ``run``
+turns into ``TrajectoryRecord``s when the call returns; only a run with
+more change points than that returns early, to have the buffer drained,
+and is called again. The read-only tables (flip-count distribution, value
+classes, half mask) are built once per benchmark instance.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from functools import lru_cache
 from itertools import chain
 
 from . import engine
-from .benchmarks import Kind
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_loop.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
@@ -45,6 +45,10 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 # machines (no -march=native), and the kernel's arithmetic must stay exact
 # (never -ffast-math)
 CFLAGS = ("-O3", "-shared", "-fPIC")
+
+# change points the kernel buffers before it returns to have them drained:
+# a GSEMO run on cocz n=256 makes about 800, on omm n+1
+POINTS = 1024
 
 _u64p = ctypes.POINTER(ctypes.c_uint64)
 _i32p = ctypes.POINTER(ctypes.c_int32)
@@ -58,9 +62,11 @@ class Loop(ctypes.Structure):
                 ("n", ctypes.c_int32), ("words", ctypes.c_int32),
                 ("half", ctypes.c_int32), ("slot_draw", ctypes.c_int32),
                 ("m", ctypes.c_int32), ("front_count", ctypes.c_int32),
-                ("front_size", ctypes.c_int32), ("record", ctypes.c_int32),
+                ("front_size", ctypes.c_int32), ("span", ctypes.c_int32),
+                ("npoints", ctypes.c_int32), ("cap", ctypes.c_int32),
                 ("t", ctypes.c_int64), ("cutoff", ctypes.c_int64),
                 ("idle", ctypes.c_int64),
+                ("points", ctypes.POINTER(ctypes.c_int64)),
                 ("cdf", ctypes.POINTER(ctypes.c_double)),
                 ("classes", _i32p), ("half_mask", _u64p), ("xs", _u64p),
                 ("f1s", _i32p), ("f2s", _i32p), ("slots", _i32p),
@@ -194,21 +200,17 @@ def tables(bspec):
     return cdf, classes, half_mask
 
 
-def _ints(array) -> memoryview:
-    """A zero-copy view of a ctypes ``c_int32`` array as Python ints."""
-    return memoryview(array).cast("B").cast("i")
-
-
 def run(lib, state, max_iters: int,
         changes: list | None) -> tuple[int, int]:
     """Run a fresh ``state`` (standard bit mutation) until it covers the
     front or reaches ``max_iters``; returns the last iteration and the
     idle draws.
 
-    Without ``changes`` this is one ``loop_run`` call. With ``changes`` a
-    list, the kernel returns after every insert, and the change point,
-    ``engine.snapshot`` of its member arrays, is appended to it, as
-    ``_python_loop`` appends ``measure(state)``.
+    This is one ``loop_run`` call. With ``changes`` a list, the kernel
+    also writes the change point after every insert, the fields of
+    ``engine.measure``, and ``run`` appends them to it as records, as
+    ``_python_loop`` appends ``measure(state)``. When the buffer fills
+    (return code 2) they are appended and the kernel is called again.
     """
     pop = state.pop
     kern = state.kernels
@@ -228,15 +230,16 @@ def run(lib, state, max_iters: int,
     f1s, f2s, slots = ((i32 * cap)(*a) for a in (pop.f1s, pop.f2s, pop.slots))
     cdf, classes, half_mask = tables(state.bspec)
     version, internal, gauss = state.rng.getstate()
-    front_size = kern.front_size
+    points = (None if changes is None
+              else (ctypes.c_int64 * (6 * POINTS))())
     # the struct keeps every buffer assigned to it alive
     r = Loop(mti=internal[624], n=n, words=words, half=n // 2,
              slot_draw=slot_draw, m=len(xs), front_count=pop.front_count,
-             front_size=front_size, record=changes is not None,
+             front_size=kern.front_size, span=kern.slot_span, cap=POINTS,
              # a field wraps silently; no run reaches 2^63 iterations
              cutoff=min(max_iters, 2 ** 63 - 1),
-             cdf=cdf, classes=classes, half_mask=half_mask, xs=bits,
-             f1s=f1s, f2s=f2s, slots=slots,
+             points=points, cdf=cdf, classes=classes, half_mask=half_mask,
+             xs=bits, f1s=f1s, f2s=f2s, slots=slots,
              at_slot=(i32 * max(slot_draw, 1))(),
              # objective values lie in [0, 2n]: ones counts, plus the gap
              # on ojzj
@@ -247,16 +250,20 @@ def run(lib, state, max_iters: int,
     if changes is None:
         lib.run(ref)
     else:
-        snapshot = engine.snapshot
-        half = n // 2 if state.bspec.kind is Kind.COCZ else None
-        f1v, f2v, slotv = _ints(f1s), _ints(f2s), _ints(slots)
-        loop_run = lib.run
-        while loop_run(ref):
-            m = r.m
-            changes.append(snapshot(r.t, f1v[:m], f2v[:m], slotv[:m],
-                                    r.front_count, kern, half))
-            if r.front_count == front_size:
-                break
+        words64 = memoryview(points).cast("B").cast("q")
+        front_size = kern.front_size
+        new, record = tuple.__new__, engine.TrajectoryRecord
+        code = 2
+        while code == 2:
+            code = lib.run(ref)
+            # six words per point: t, size, max_g1, z_count (both -1 for
+            # None), d_pf, covered
+            flat = iter(words64[:6 * r.npoints].tolist())
+            r.npoints = 0
+            changes.extend(
+                new(record, (t, size, None if g1 < 0 else g1,
+                             None if z < 0 else z, d, c, c / front_size))
+                for t, size, g1, z, d, c in zip(*[flat] * 6))
     m = r.m
     raw = bytes(bits)
     from_bytes = int.from_bytes

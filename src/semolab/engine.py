@@ -26,8 +26,9 @@ state for state. The loop has two implementations that give the same
 bytes. Standard bit mutation (GSEMO) until cover runs in ``_loop.c``,
 compiled on first use (see ``_loop``), which replays the run's Mersenne
 Twister word for word and applies ``Population.insert``'s update to its
-own copy of the members: without trajectories a run is one foreign call,
-and the population is copied back when it ends. One-bit mutation (SEMO),
+own copy of the members, and writes the change points of a run with
+trajectories into a buffer: a run is one foreign call, and the
+population is copied back when it ends. One-bit mutation (SEMO),
 budget runs (the kernel's set-up costs more than one) and every run when
 the kernel cannot be built take ``_python_loop``. An iteration pays only
 for what it draws (the kernel keeps no memo of fates, because it
@@ -53,8 +54,8 @@ evaluates an offspring faster than a memo could be read):
 * With trajectories on, the loop records change points only: ``measure``
   at t=0 and after each insert, the only place where a record's fields
   other than ``t`` can change, so no iteration tests a schedule. The
-  kernel returns after each insert, and the change point is ``snapshot``
-  (the body of ``measure``) of its member arrays.
+  kernel writes each change point after an insert into a buffer, by
+  ``measure``'s formulas, and the run stays one foreign call.
   ``_sample`` derives the sampled trajectory from them when the run ends,
   with one step per change point.
 
@@ -410,40 +411,32 @@ def step(state: RunState) -> RunState:
 
 
 def measure(state: RunState) -> TrajectoryRecord:
-    """Snapshot of the tracked processes of ``state``: ``snapshot`` of its
-    population at its t."""
-    pop = state.pop
-    return snapshot(state.t, pop.f1s, pop.f2s, pop.slots, pop.front_count,
-                    state.kernels,
-                    state.n // 2 if state.bspec.kind is Kind.COCZ else None)
-
-
-def snapshot(t: int, f1s, f2s, slots, covered: int, kern,
-             half: Optional[int]) -> TrajectoryRecord:
-    """The trajectory record of a population at iteration t, from its
-    member values and slots in f1 order (sequences of ints: the lists of
-    ``Population`` or views of the kernel's arrays) and its front count.
-    ``half`` is n/2 on cocz and None otherwise. The run loops call it once
-    per change point, and it reads the members through builtins only.
+    """The trajectory record of ``state`` at its t. The Python loop calls
+    it once per change point; the kernel writes the same fields by the
+    same formulas (``record`` in ``_loop.c``).
 
     ``d_pf`` is the least of min(s, span - s) over the member slots, that
     is min(min(slots), span - max(slots)). On cocz f1 + f2 = n/2 + 2*g1,
     so the members of best cooperative level g1 are those of largest
     f1 + f2.
     """
+    pop = state.pop
+    kern = state.kernels
+    slots = pop.slots
     d_pf = min(min(slots), kern.slot_span - max(slots))
-    if half is not None:
-        sums = list(map(add, f1s, f2s))
+    if state.bspec.kind is Kind.COCZ:
+        sums = list(map(add, pop.f1s, pop.f2s))
         top = max(sums)
-        max_g1: Optional[int] = (top - half) >> 1
+        max_g1: Optional[int] = (top - state.n // 2) >> 1
         z_count: Optional[int] = sums.count(top)
     else:
         max_g1 = None
         z_count = None
+    covered = pop.front_count
     # positional: building a named tuple from keywords costs several times
     # as much, once per change point
-    return _new(TrajectoryRecord, (t, len(f1s), max_g1, z_count, d_pf,
-                                   covered, covered / kern.front_size))
+    return _new(TrajectoryRecord, (state.t, len(slots), max_g1, z_count,
+                                   d_pf, covered, covered / kern.front_size))
 
 
 def default_sample_period(n: int) -> int:
@@ -520,7 +513,7 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     iterations, whenever the covered-front count changes, at every
     iteration listed in ``sample_at``, and at termination. The loop
     itself keeps no schedule: it takes a change point (``measure``, or
-    ``snapshot`` of the kernel's arrays) at t=0 and after every insert,
+    the kernel's record of the same fields) at t=0 and after every insert,
     and ``_sample`` builds the trajectory's runs from these change points
     when the run ends. That is exact because a record holds nothing that
     an equal-value replacement changes.
@@ -529,9 +522,8 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     counts only idle draws, so the evaluations after t iterations are
     t + 1 - idle, as ``step`` counts them. Standard bit mutation runs in
     the kernel of ``_loop`` when it can be built. The kernel makes the
-    inserts and the cover test itself: with trajectories off the run is
-    one foreign call, and with them on the kernel returns after each
-    insert for its change point.
+    inserts, the cover test and the change points itself, so the run is
+    one foreign call with trajectories on or off.
     """
     state = init_state(bspec, alg, seed, interior_init=interior_init,
                        slot_count_offset=slot_count_offset)

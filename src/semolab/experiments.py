@@ -485,11 +485,16 @@ def check_border_distance(results: Sequence[TrialResult],
     """
     _require_trajectories(results, "border_distance")
     cells = []
+    # sizes whose horizon is 0: their cells judge the initial population
+    # only, so the report names them
+    unjudged: set[int] = set()
     for label, group in group_by_cell(results).items():
         n = group[0].n
         k = group[0].k
         # the same point as the checkpoint border:n2_log:<coefficient>
         horizon = int(growth_law("n2_log", n, coefficient=coefficient))
+        if not horizon:
+            unjudged.add(n)
         bar = math.sqrt(n)
         if group[0].benchmark == "ojzj" and k is not None:
             bar = max(bar, float(k))
@@ -502,12 +507,15 @@ def check_border_distance(results: Sequence[TrialResult],
                 passes += 1
         cells.append(CellOutcome(label, passes, len(group), cal.PASS_FREQUENCY,
                                  detail=f"d_pf>={bar:.3g} through t<={horizon}"))
+    notes = (f"horizon coefficient {coefficient:.4g} (calibrated, not a "
+             "theoretical constant)")
+    if unjudged:
+        notes += (f"; horizon 0 at n={', '.join(map(str, sorted(unjudged)))}"
+                  ": only t=0 is judged there")
     return HypothesisReport(
         hypothesis="border_distance", threshold=cal.PASS_FREQUENCY,
         cells=tuple(cells), master_seed=config.master_seed,
-        config_hash=config_hash(config),
-        notes=f"horizon coefficient {coefficient:.4g} (calibrated, not a "
-              "theoretical constant)")
+        config_hash=config_hash(config), notes=notes)
 
 
 def check_lower_bound_runtime(results: Sequence[TrialResult],

@@ -683,13 +683,16 @@ class TestSampleSchedule:
         # with trajectories on, the loop takes a change point at t=0 (after
         # the first insert) and after every later insert, and nowhere else;
         # with them off it measures the final state once. The Python loop
-        # inserts through Population.insert and measures with ``measure``;
-        # the kernel applies its inserts itself (Population.insert runs for
-        # the initial individual only) and takes each later change point
-        # with ``snapshot`` of its arrays, as many as the Python loop's
-        counts = {"insert": 0, "measure": 0, "snapshot": 0}
+        # inserts through Population.insert and measures with ``measure``.
+        # The kernel applies its inserts itself (Population.insert runs for
+        # the initial individual only) and writes each later change point
+        # itself, so ``measure`` runs once per run there, and its change
+        # points, plus the one at t=0, are as many as the Python loop's
+        # inserts
+        counts = {"insert": 0, "measure": 0}
+        changes = []
         real_insert = Population.insert
-        real_measure, real_snapshot = engine.measure, engine.snapshot
+        real_measure, real_sample = engine.measure, engine._sample
 
         def insert(self, *args):
             counts["insert"] += 1
@@ -699,13 +702,13 @@ class TestSampleSchedule:
             counts["measure"] += 1
             return real_measure(*args, **kwargs)
 
-        def counted_snapshot(*args, **kwargs):
-            counts["snapshot"] += 1
-            return real_snapshot(*args, **kwargs)
+        def sample(points, *args):
+            changes.append(len(points))
+            return real_sample(points, *args)
 
         monkeypatch.setattr(Population, "insert", insert)
         monkeypatch.setattr(engine, "measure", counted_measure)
-        monkeypatch.setattr(engine, "snapshot", counted_snapshot)
+        monkeypatch.setattr(engine, "_sample", sample)
         for (kind, n, k, interior), alg_name, variant in itertools.product(
                 FINGERPRINT_CASES, ("semo", "gsemo"), ("original", "modified")):
             alg = AlgorithmSpec.from_names(alg_name, variant, 3000)
@@ -715,10 +718,11 @@ class TestSampleSchedule:
                 kwargs = dict(interior_init=interior,
                               record_trajectory=record, sample_at=(1, 50))
                 inserts = python_loop_inserts(monkeypatch, *args, **kwargs)
-                counts.update(insert=0, measure=0, snapshot=0)
+                counts.update(insert=0, measure=0)
+                changes.clear()
                 run_until_cover(*args, **kwargs)
                 assert inserts > 1
-                assert counts["snapshot"] == (inserts if record else 1)
+                assert changes == ([inserts] if record else [])
                 assert counts["insert"] == (1 if kernel else inserts)
                 assert counts["measure"] == (inserts if record and not kernel
                                              else 1)

@@ -450,6 +450,24 @@ class TestBorderDistance:
         report = check_border_distance([good], config, coefficient=0.1)
         assert report.verdict == "PASS"
 
+    def test_zero_horizon_is_named(self):
+        # floor(0.001*n^2*ln n) is 0 up to n=19 and 1 at n=20: the note
+        # names the sizes whose cells judge t=0 alone, and the verdict
+        # stays the cells'
+        config = spread_config()
+        results = [synthetic(benchmark="omm", n=n, variant="modified",
+                             trajectory=[record(0, d_pf=d_pf)])
+                   for n, d_pf in ((8, 1), (16, 4), (20, 5))]
+        report = check_border_distance(results, config, coefficient=0.001)
+        assert report.notes.endswith(
+            "; horizon 0 at n=8, 16: only t=0 is judged there")
+        assert [c.ok for c in report.cells] == [False, True, True]
+        assert report.verdict == "FAIL"
+        report = check_border_distance(results[2:], config,
+                                       coefficient=0.001)
+        assert "horizon 0" not in report.notes
+        assert report.verdict == "PASS"
+
     def test_ojzj_threshold_uses_gap(self):
         # k=6 > sqrt(25 -> n=24): bar becomes k
         config = ExperimentConfig("ojzj", "gsemo", "modified", (24,), 1, 0,

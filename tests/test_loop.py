@@ -163,10 +163,12 @@ def test_run_starts_anywhere_in_the_block(monkeypatch, kernel, mti):
 
 @needs_compiler
 def test_runs_resume_after_inserts_inside_a_block(monkeypatch, kernel):
-    # with trajectories on, every insert hands control back to Python part
-    # way through a block of 624 words; with them off the kernel applies
-    # the insert and goes on. Cutoffs end runs between two inserts, between
-    # an insert and a twist, and at the insert that covers the front
+    # with trajectories on and a buffer of one change point, every insert
+    # hands control back to Python part way through a block of 624 words;
+    # with them off the kernel applies the insert and goes on. Cutoffs end
+    # runs between two inserts, between an insert and a twist, and at the
+    # insert that covers the front
+    monkeypatch.setattr(_loop, "POINTS", 1)
     covered = set()
     for n, cutoff, variant, mti, record in itertools.product(
             (4, 8), range(1, 60), ("original", "modified"), (500, 610),
@@ -182,17 +184,15 @@ def test_runs_resume_after_inserts_inside_a_block(monkeypatch, kernel):
     assert covered == {False, True}
 
 
-@needs_compiler
-def test_run_without_trajectories_is_one_call(monkeypatch, kernel):
-    # the kernel applies every insert itself: one loop_run per run, and
-    # Population.insert only for the initial individual
-    calls = 0
+def count_calls(monkeypatch, kernel):
+    """Count the kernel's ``run`` calls in the returned list's only item,
+    and let ``Population.insert`` run for the initial individual only."""
+    calls = [0]
     real_run = kernel.run
     real_insert = Population.insert
 
     def counted_run(ref):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return real_run(ref)
 
     def first_insert_only(pop, *args):
@@ -203,14 +203,72 @@ def test_run_without_trajectories_is_one_call(monkeypatch, kernel):
 
     monkeypatch.setattr(kernel, "run", counted_run)
     monkeypatch.setattr(Population, "insert", first_insert_only)
+    return calls
+
+
+def assert_one_call_per_run(monkeypatch, kernel, record):
+    calls = count_calls(monkeypatch, kernel)
     for spec, variant in itertools.product(
             (BenchmarkSpec(Kind.COCZ, 32), BenchmarkSpec(Kind.OMM, 33),
              BenchmarkSpec(Kind.OJZJ, 12, 2)), ("original", "modified")):
-        calls = 0
+        calls[0] = 0
         result = run_until_cover(spec, AlgorithmSpec.from_names(
-            "gsemo", variant), 4, record_trajectory=False)
+            "gsemo", variant), 4, record_trajectory=record)
         assert not result.censored
-        assert calls == 1, (spec, variant)
+        assert calls[0] == 1, (spec, variant)
+
+
+@needs_compiler
+def test_run_without_trajectories_is_one_call(monkeypatch, kernel):
+    # the kernel applies every insert itself: one loop_run per run, and
+    # Population.insert only for the initial individual
+    assert_one_call_per_run(monkeypatch, kernel, False)
+
+
+@needs_compiler
+def test_run_with_trajectories_is_one_call(monkeypatch, kernel):
+    # the kernel also writes the change points itself, into a buffer that
+    # none of these runs fills
+    assert_one_call_per_run(monkeypatch, kernel, True)
+
+
+@needs_compiler
+@pytest.mark.parametrize("points", [1, 3])
+def test_full_buffers_are_drained(monkeypatch, kernel, points):
+    # a buffer of 1 or 3 change points fills inside most runs: the kernel
+    # returns 2, Python drains it and calls again, and the results,
+    # trajectories included, are the Python loop's. A run that writes p
+    # points makes p // points + 1 calls, one fewer when it covers the
+    # front at a point that fills the buffer, which then returns 1
+    monkeypatch.setattr(_loop, "POINTS", points)
+    filled_at_cover = 0
+    lengths = []
+    real_sample = engine._sample
+
+    def sample(changes, *args):
+        lengths.append(len(changes))
+        return real_sample(changes, *args)
+
+    for (spec, interior), (variant, offset), cutoff, seed in \
+            itertools.product(specs(8) + specs(12), SELECTIONS, (37, 3000),
+                              range(2)):
+        alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+        args = (spec, alg, seed)
+        kwargs = dict(interior_init=interior, slot_count_offset=offset)
+        with monkeypatch.context() as m:
+            calls = count_calls(m, kernel)
+            m.setattr(engine, "_sample", sample)
+            compiled = outcome(m, True, *args, **kwargs)
+        assert compiled == outcome(monkeypatch, False, *args, **kwargs), (
+            spec, alg, seed, kwargs)
+        # the change points but the one at t=0
+        written = lengths.pop() - 1
+        full = written > 0 and written % points == 0
+        covered = not compiled[0].censored
+        filled_at_cover += covered and full
+        assert calls[0] == written // points + 1 - (covered and full), (
+            spec, alg, seed, kwargs)
+    assert filled_at_cover
 
 
 @needs_compiler
