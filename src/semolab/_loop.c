@@ -16,16 +16,20 @@
    loop_run() is the portable build, which counts bits inline
    (swar_popcount()). On x86-64 the same body is also built for CPUs with
    the popcnt instruction as loop_run_popcnt(), which the loader takes
-   when loop_cpu_has_popcnt() says the CPU has it.
+   when loop_cpu_has_popcnt() says the CPU has it. Each entry point holds
+   the body three times, for strings of one 64-bit word, of two and of
+   any width (run_width()).
 
    Random numbers come from a copy of the state of the run's random.Random
    and are drawn exactly as CPython's _randommodule.c draws them:
    getrandbits(k) for 0 < k <= 32 is one word shifted right by 32 - k,
    getrandbits(0) draws nothing, and random() takes two words. Every draw
    is made in the order of the Python loop, so both give the same results
-   and leave the generator in the same state. random() and the comparisons
-   with the flip-count distribution are exact in IEEE double arithmetic;
-   the file must not be built with -ffast-math.
+   and leave the generator in the same state. random() is x / 2^53 for
+   the 53-bit integer x of its two words (random53()), so the Python
+   loop's u <= cdf[k] holds exactly when x <= floor(cdf[k] * 2^53), the
+   thresholds[k] that Python computes: the kernel draws the flip count
+   with integer comparisons alone and has no floating-point arithmetic.
 
    mt[] and mti are the generator state exactly as getstate() and
    setstate() exchange it: untempered words and the index of the next one.
@@ -57,7 +61,8 @@ struct loop {
     int32_t npoints, cap;    /* change points in points[], and its room */
     int64_t t, cutoff, idle; /* iteration counter, its cutoff, idle draws */
     int64_t *points;         /* 6 words per change point, or NULL: none kept */
-    const double *cdf;       /* n + 1 cumulative flip-count probabilities */
+    const uint64_t *thresholds; /* n + 1 flip-count thresholds: k flips
+                                   iff x <= thresholds[k] for the least k */
     const int32_t *classes;  /* (f1, f2, slot, front) by ones count, or NULL
                                 on cocz */
     const uint64_t *half_mask; /* first half of a cocz string */
@@ -115,11 +120,12 @@ INLINE uint32_t genrand(struct loop *r, int *mti)
     return r->out[(*mti)++];
 }
 
-INLINE double random53(struct loop *r, int *mti)
+/* the 53-bit integer a * 2^26 + b of random(), which returns it / 2^53 */
+INLINE uint64_t random53(struct loop *r, int *mti)
 {
-    uint32_t a = genrand(r, mti) >> 5;
+    uint64_t a = genrand(r, mti) >> 5;
     uint32_t b = genrand(r, mti) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    return a << 26 | b;
 }
 
 /* bit length of v - 1: the k of getrandbits(k) for a draw below v */
@@ -297,15 +303,18 @@ static void record(struct loop *r, int64_t t)
 }
 
 /* The loop body of both entry points; each inlines it with its own hw,
-   so that the popcounts compile to the instructions of its target. */
-INLINE int run(struct loop *r, int hw)
+   so that the popcounts compile to the instructions of its target, and
+   with `words` at 1 or 2 for strings that wide, so that the copies and
+   bit counts of a string compile to fixed moves; 0 reads r->words. */
+INLINE int run(struct loop *r, int hw, int words)
 {
-    const int w = r->words, n = r->n, nbits = draw_bits((uint32_t)n);
+    const int w = words ? words : r->words, n = r->n;
+    const int nbits = draw_bits((uint32_t)n);
     const int slot_draw = r->slot_draw;
     const int sbits = draw_bits((uint32_t)slot_draw);
     const int front_size = r->front_size;
     const int64_t *const points = r->points;
-    const double *const cdf = r->cdf;
+    const uint64_t *const thresholds = r->thresholds;
     const int32_t *const classes = r->classes;
     const uint64_t *const half_mask = r->half_mask;
     const int32_t *const at_slot = r->at_slot, *const first_at = r->first_at;
@@ -318,7 +327,7 @@ INLINE int run(struct loop *r, int hw)
     while (t < cutoff) {
         const uint64_t *parent;
         struct value_class c;
-        double u;
+        uint64_t x;
         int k, i, ones = 0, g1 = 0;
         t++;
         if (slot_draw) {
@@ -331,10 +340,10 @@ INLINE int run(struct loop *r, int hw)
             i = (int)below(r, &mti, (uint32_t)m, mbits);
         }
         parent = xs + (size_t)i * w;
-        u = random53(r, &mti);
-        if (u <= cdf[0])
+        x = random53(r, &mti);
+        if (x <= thresholds[0])
             continue; /* a copy of the parent changes nothing */
-        for (k = 1; u > cdf[k]; k++)
+        for (k = 1; x > thresholds[k]; k++)
             ;
         memcpy(child, parent, (size_t)w * sizeof *child);
         while (k) { /* k distinct positions; a repeated one is drawn again */
@@ -379,15 +388,29 @@ INLINE int run(struct loop *r, int hw)
     return found;
 }
 
+/* run() with the width of r's strings fixed where it is one or two
+   words */
+INLINE int run_width(struct loop *r, int hw)
+{
+    switch (r->words) {
+    case 1:
+        return run(r, hw, 1);
+    case 2:
+        return run(r, hw, 2);
+    default:
+        return run(r, hw, 0);
+    }
+}
+
 int loop_run(struct loop *r)
 {
-    return run(r, 0);
+    return run_width(r, 0);
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 __attribute__((target("popcnt"))) int loop_run_popcnt(struct loop *r)
 {
-    return run(r, 1);
+    return run_width(r, 1);
 }
 
 int loop_cpu_has_popcnt(void)

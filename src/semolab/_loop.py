@@ -24,7 +24,7 @@ their bits, values and slots, and the front count. The whole run is one
 point after every insert into a buffer of ``POINTS`` points, which ``run``
 turns into ``TrajectoryRecord``s when the call returns; only a run with
 more change points than that returns early, to have the buffer drained,
-and is called again. The read-only tables (flip-count distribution, value
+and is called again. The read-only tables (flip-count thresholds, value
 classes, half mask) are built once per benchmark instance.
 """
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import struct
 from functools import lru_cache
@@ -42,8 +43,7 @@ from . import engine
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_loop.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 # portable: the cache lives in the checkout, which may move between
-# machines (no -march=native), and the kernel's arithmetic must stay exact
-# (never -ffast-math)
+# machines (no -march=native)
 CFLAGS = ("-O3", "-shared", "-fPIC")
 
 # change points the kernel buffers before it returns to have them drained:
@@ -67,8 +67,8 @@ class Loop(ctypes.Structure):
                 ("t", ctypes.c_int64), ("cutoff", ctypes.c_int64),
                 ("idle", ctypes.c_int64),
                 ("points", ctypes.POINTER(ctypes.c_int64)),
-                ("cdf", ctypes.POINTER(ctypes.c_double)),
-                ("classes", _i32p), ("half_mask", _u64p), ("xs", _u64p),
+                ("thresholds", _u64p), ("classes", _i32p),
+                ("half_mask", _u64p), ("xs", _u64p),
                 ("f1s", _i32p), ("f2s", _i32p), ("slots", _i32p),
                 ("at_slot", _i32p), ("first_at", _i32p), ("child", _u64p),
                 ("out", ctypes.c_uint32 * 624)]
@@ -158,7 +158,7 @@ def library():
         import warnings
         warnings.warn(f"the compiled run loop is unavailable ({exc}); GSEMO "
                       "runs take the Python loop, with the same results, "
-                      "about 13 times slower", RuntimeWarning, stacklevel=2)
+                      "about 15 times slower", RuntimeWarning, stacklevel=2)
         return None
     ref = ctypes.POINTER(Loop)
     i32, c_int = ctypes.c_int32, ctypes.c_int
@@ -180,16 +180,25 @@ def library():
 @lru_cache(maxsize=None)
 def tables(bspec):
     """The kernel's read-only arrays for one benchmark instance: the
-    flip-count distribution, the class table and the half mask. The class
-    table holds (f1, f2, slot, front flag) for every ones count of omm
-    and ojzj, from ``Kernels.values``, ``slot_from_pair`` and
+    flip-count thresholds, the class table and the half mask.
+
+    The thresholds are floor(cdf[k] * 2^53) for the flip-count
+    distribution ``cdf`` of the Python loop. ``random()`` is x / 2^53 for
+    a 53-bit integer x, and scaling by 2^53 is exact, so its u <= cdf[k]
+    holds exactly when x <= floor(cdf[k] * 2^53); the floor, not the
+    nearest integer, because cdf[k] * 2^53 is not always an integer. The
+    last threshold is 2^53, above every x.
+
+    The class table holds (f1, f2, slot, front flag) for every ones count
+    of omm and ojzj, from ``Kernels.values``, ``slot_from_pair`` and
     ``is_front_pair``; it is None on cocz, whose classes the kernel
     computes from the half counts. The kernel only reads the arrays, so
     every run of the instance shares them."""
     n = bspec.n
     kern = bspec.kernels()
     words = (n + 63) // 64
-    cdf = (ctypes.c_double * (n + 1))(*engine._flip_count_cdf(n))
+    thresholds = (ctypes.c_uint64 * (n + 1))(
+        *(math.floor(c * 2 ** 53) for c in engine._flip_count_cdf(n)))
     classes = None
     if kern.values:
         classes = (ctypes.c_int32 * (4 * n + 4))(*chain.from_iterable(
@@ -197,7 +206,7 @@ def tables(bspec):
             for f1, f2 in kern.values))
     half_mask = (ctypes.c_uint64 * words).from_buffer_copy(
         kern.half_mask.to_bytes(words * 8, "little"))
-    return cdf, classes, half_mask
+    return thresholds, classes, half_mask
 
 
 def run(lib, state, max_iters: int,
@@ -228,7 +237,7 @@ def run(lib, state, max_iters: int,
     bits = (u64 * (words * cap)).from_buffer_copy(b"".join(
         x.to_bytes(size, "little") for x in xs).ljust(size * cap, b"\0"))
     f1s, f2s, slots = ((i32 * cap)(*a) for a in (pop.f1s, pop.f2s, pop.slots))
-    cdf, classes, half_mask = tables(state.bspec)
+    thresholds, classes, half_mask = tables(state.bspec)
     version, internal, gauss = state.rng.getstate()
     points = (None if changes is None
               else (ctypes.c_int64 * (6 * POINTS))())
@@ -238,7 +247,8 @@ def run(lib, state, max_iters: int,
              front_size=kern.front_size, span=kern.slot_span, cap=POINTS,
              # a field wraps silently; no run reaches 2^63 iterations
              cutoff=min(max_iters, 2 ** 63 - 1),
-             points=points, cdf=cdf, classes=classes, half_mask=half_mask,
+             points=points, thresholds=thresholds, classes=classes,
+             half_mask=half_mask,
              xs=bits, f1s=f1s, f2s=f2s, slots=slots,
              at_slot=(i32 * max(slot_draw, 1))(),
              # objective values lie in [0, 2n]: ones counts, plus the gap

@@ -122,7 +122,7 @@ def test_kernel_matches_python_loop(monkeypatch, kernel, n):
                           slot_count_offset=offset)
             assert outcome(monkeypatch, True, *args, **kwargs) == \
                 outcome(monkeypatch, False, *args, **kwargs), (
-                    entry, spec, alg, seed, kwargs)
+                    entry.__name__, spec, alg, seed, kwargs)
 
 
 @needs_compiler
@@ -407,32 +407,46 @@ def next_outputs(rng, words):
     rng.setstate((version, mt + (start,), gauss))
 
 
-def uniform_words(u: float) -> list[int]:
-    """The two outputs from which ``random()`` makes u."""
-    k = int(u * 2 ** 53)
-    assert k / 2 ** 53 == u
-    return [(k >> 26) << 5, (k & (2 ** 26 - 1)) << 6]
+def uniform_words(x: int) -> list[int]:
+    """The two outputs from which ``random()`` makes x / 2^53."""
+    assert 0 <= x < 2 ** 53
+    return [(x >> 26) << 5, (x & (2 ** 26 - 1)) << 6]
+
+
+def test_thresholds_are_the_floors_of_the_scaled_distribution():
+    # u <= cdf[k] iff x <= T[k] for u = x / 2^53 needs T[k] to be the
+    # floor of cdf[k] * 2^53, which is not always an integer; the last
+    # threshold must stop every scan. Python compares ints with floats
+    # exactly
+    for n in range(2, 301):
+        cdf = _flip_count_cdf(n)
+        thresholds, _, _ = _loop.tables(BenchmarkSpec(Kind.OMM, n))
+        assert len(thresholds) == n + 1
+        for k, (t, c) in enumerate(zip(thresholds, cdf)):
+            assert t <= c * 2 ** 53 < t + 1, (n, k)
+        assert thresholds[n] == 2 ** 53
 
 
 @needs_compiler
-@pytest.mark.parametrize("n", [3, 8, 32, 33, 64, 127])
+@pytest.mark.parametrize("n", [3, 8, 12, 20, 32, 33, 64, 127])
 def test_flip_count_ties(monkeypatch, kernel, n):
-    # the flip count is the least k with u <= cdf[k]; u is placed on
-    # cdf[0], cdf[1] and cdf[2] exactly, where a strict comparison would
-    # draw one more position; on each entry point
-    cdf = _flip_count_cdf(n)
+    # the flip count is the least k with u <= cdf[k]; u is placed on the
+    # kernel's thresholds T[k] / 2^53 and one step above, for k = 0, 1, 2,
+    # on each entry point. Where cdf[k] * 2^53 is an integer, T[k] / 2^53
+    # is cdf[k] itself, where a strict comparison would draw one more
+    # position; at n = 12 and 20 cdf[0] * 2^53 is a half-integer, which
+    # lies between the two draws
+    thresholds, _, _ = _loop.tables(BenchmarkSpec(Kind.OMM, n))
     spec = BenchmarkSpec(Kind.OMM, n)
-    for entry, j, variant in itertools.product(
-            entry_points(kernel), range(3), ("original", "modified")):
+    for entry, j, step, variant in itertools.product(
+            entry_points(kernel), range(3), (0, 1), ("original", "modified")):
         monkeypatch.setattr(kernel, "run", entry)
-        if not (cdf[j] * 2 ** 53).is_integer():
-            continue
         alg = AlgorithmSpec.from_names("gsemo", variant, 3)
 
         def rig(state):
             # a single member: no parent draw under uniform selection, and
             # a slot draw that hits it under slot selection
-            words = uniform_words(cdf[j])
+            words = uniform_words(thresholds[j] + step)
             if variant == "modified":
                 bits = (state.slot_draw_count - 1).bit_length()
                 words.insert(0, state.pop.slots[0] << (32 - bits))
@@ -440,7 +454,7 @@ def test_flip_count_ties(monkeypatch, kernel, n):
 
         python = outcome(monkeypatch, False, spec, alg, 5, rig)
         assert python == outcome(monkeypatch, True, spec, alg, 5, rig), (
-            entry, j)
+            entry.__name__, j, step)
 
 
 def test_rigged_draws_reach_the_loop():
@@ -450,7 +464,7 @@ def test_rigged_draws_reach_the_loop():
     words = [1, 2 ** 32 - 1, 12345, 0]
     next_outputs(rng, words)
     assert [rng.getrandbits(32) for _ in words] == words
-    next_outputs(rng, uniform_words(0.75))
+    next_outputs(rng, uniform_words(3 * 2 ** 51))
     assert rng.random() == 0.75
 
 
