@@ -13,12 +13,12 @@
    reaches the cutoff, and 2 when points[] is full, which Python drains
    before it calls again; a full buffer at the covering insert returns 1.
 
-   loop_run() is the portable build, which counts bits inline
-   (swar_popcount()). On x86-64 the same body is also built for CPUs with
-   the popcnt instruction as loop_run_popcnt(), which the loader takes
-   when loop_cpu_has_popcnt() says the CPU has it. Each entry point holds
-   the body three times, for strings of one 64-bit word, of two and of
-   any width (run_width()).
+   An offspring's class needs its ones count and, on cocz, its first-half
+   count g1. Both start from the parent's class (the slot is the ones count
+   on omm and ojzj; on cocz f1 is, and the slot is g2 = f1 - g1) and move
+   by one with each flipped bit, so no string is ever counted. loop_run()
+   holds the loop body three times, for strings of one 64-bit word, of
+   two and of any width.
 
    Random numbers come from a copy of the state of the run's random.Random
    and are drawn exactly as CPython's _randommodule.c draws them:
@@ -43,8 +43,8 @@
 
 #define MT_N 624
 #define MT_M 397
-/* the hot helpers are inlined into both entry points even where their
-   target options differ */
+/* the hot helpers are inlined, so that each width of run() is compiled
+   with its own constants */
 #define INLINE static inline __attribute__((always_inline))
 
 struct loop {
@@ -65,7 +65,6 @@ struct loop {
                                    iff x <= thresholds[k] for the least k */
     const int32_t *classes;  /* (f1, f2, slot, front) by ones count, or NULL
                                 on cocz */
-    const uint64_t *half_mask; /* first half of a cocz string */
     uint64_t *xs;            /* member bits, `words` per member, f1 order */
     int32_t *f1s, *f2s, *slots;
     int32_t *at_slot;        /* slot -> member index or -1, slot_draw of them */
@@ -144,23 +143,6 @@ INLINE uint32_t below(struct loop *r, int *mti, uint32_t v, int bits)
         x = genrand(r, mti) >> (32 - bits);
     while (x >= v);
     return x;
-}
-
-/* Bit count without the popcnt instruction: the portable build would
-   otherwise call libgcc's __popcountdi2 for every word. */
-INLINE int swar_popcount(uint64_t x)
-{
-    x -= (x >> 1) & 0x5555555555555555ULL;
-    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-    return (int)((x * 0x0101010101010101ULL) >> 56);
-}
-
-/* The instruction where the caller is built for it (hw), else the
-   inline fallback. */
-INLINE int popcount(uint64_t x, int hw)
-{
-    return hw ? __builtin_popcountll(x) : swar_popcount(x);
 }
 
 struct value_class {
@@ -302,13 +284,13 @@ static void record(struct loop *r, int64_t t)
     p[5] = r->front_count;
 }
 
-/* The loop body of both entry points; each inlines it with its own hw,
-   so that the popcounts compile to the instructions of its target, and
-   with `words` at 1 or 2 for strings that wide, so that the copies and
-   bit counts of a string compile to fixed moves; 0 reads r->words. */
-INLINE int run(struct loop *r, int hw, int words)
+/* The loop body, inlined with `words` at 1 or 2 for strings that wide,
+   so that the copies of a string compile to fixed moves; 0 reads
+   r->words. */
+INLINE int run(struct loop *r, int words)
 {
     const int w = words ? words : r->words, n = r->n;
+    const uint32_t half = (uint32_t)r->half;
     const int nbits = draw_bits((uint32_t)n);
     const int slot_draw = r->slot_draw;
     const int sbits = draw_bits((uint32_t)slot_draw);
@@ -316,9 +298,9 @@ INLINE int run(struct loop *r, int hw, int words)
     const int64_t *const points = r->points;
     const uint64_t *const thresholds = r->thresholds;
     const int32_t *const classes = r->classes;
-    const uint64_t *const half_mask = r->half_mask;
     const int32_t *const at_slot = r->at_slot, *const first_at = r->first_at;
     const int32_t *const f1s = r->f1s, *const f2s = r->f2s;
+    const int32_t *const slots = r->slots;
     uint64_t *const xs = r->xs, *const child = r->child;
     const int64_t cutoff = r->cutoff;
     int64_t t = r->t, idle = r->idle;
@@ -328,7 +310,7 @@ INLINE int run(struct loop *r, int hw, int words)
         const uint64_t *parent;
         struct value_class c;
         uint64_t x;
-        int k, i, ones = 0, g1 = 0;
+        int k, i, ones, g1;
         t++;
         if (slot_draw) {
             i = at_slot[below(r, &mti, (uint32_t)slot_draw, sbits)];
@@ -345,20 +327,23 @@ INLINE int run(struct loop *r, int hw, int words)
             continue; /* a copy of the parent changes nothing */
         for (k = 1; x > thresholds[k]; k++)
             ;
+        /* the parent's ones count and, on cocz, its first-half count */
+        ones = classes ? slots[i] : f1s[i];
+        g1 = ones - slots[i];
         memcpy(child, parent, (size_t)w * sizeof *child);
         while (k) { /* k distinct positions; a repeated one is drawn again */
             uint32_t pos = below(r, &mti, (uint32_t)n, nbits);
             uint64_t bit = 1ULL << (pos & 63);
+            int d;
             if ((child[pos >> 6] ^ parent[pos >> 6]) & bit)
                 continue;
+            d = child[pos >> 6] & bit ? -1 : 1;
             child[pos >> 6] ^= bit;
+            ones += d;
+            if (pos < half)
+                g1 += d;
             k--;
         }
-        for (i = 0; i < w; i++)
-            ones += popcount(child[i], hw);
-        if (!classes)
-            for (i = 0; i < w; i++)
-                g1 += popcount(child[i] & half_mask[i], hw);
         c = class_of(r, ones, g1);
         i = first_at[c.f1];
         if (i < m && f2s[i] >= c.f2) {
@@ -390,32 +375,14 @@ INLINE int run(struct loop *r, int hw, int words)
 
 /* run() with the width of r's strings fixed where it is one or two
    words */
-INLINE int run_width(struct loop *r, int hw)
+int loop_run(struct loop *r)
 {
     switch (r->words) {
     case 1:
-        return run(r, hw, 1);
+        return run(r, 1);
     case 2:
-        return run(r, hw, 2);
+        return run(r, 2);
     default:
-        return run(r, hw, 0);
+        return run(r, 0);
     }
 }
-
-int loop_run(struct loop *r)
-{
-    return run_width(r, 0);
-}
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-__attribute__((target("popcnt"))) int loop_run_popcnt(struct loop *r)
-{
-    return run_width(r, 1);
-}
-
-int loop_cpu_has_popcnt(void)
-{
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("popcnt") != 0;
-}
-#endif

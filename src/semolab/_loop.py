@@ -9,12 +9,11 @@ source and the flags, so an edited source or a changed flag is rebuilt and
 every later process loads the cached file. It is written under a
 temporary name and renamed into place, so processes that build it at the
 same time do not see each other's partial output; a successful build then
-removes the libraries of other sources and flags. The library has a
-portable entry point and, on x86-64, one built for the popcnt instruction;
-``library()`` picks one once per process (``entry_point``). When the
-library cannot be built or loaded, or its ``struct loop`` does not have
-the size of ``Loop``, ``library()`` warns and returns None, and the engine
-runs its Python loop, which gives the same results.
+removes the libraries of other sources and flags. The kernel counts no
+bits, so one portable build runs on every CPU. When the library cannot be
+built or loaded, or its ``struct loop`` does not have the size of
+``Loop``, ``library()`` warns and returns None, and the engine runs its
+Python loop, which gives the same results.
 
 ``run`` drives the kernel for one run, and the kernel applies every
 population update itself. The generator state crosses as one buffer copy
@@ -24,8 +23,8 @@ their bits, values and slots, and the front count. The whole run is one
 point after every insert into a buffer of ``POINTS`` points, which ``run``
 turns into ``TrajectoryRecord``s when the call returns; only a run with
 more change points than that returns early, to have the buffer drained,
-and is called again. The read-only tables (flip-count thresholds, value
-classes, half mask) are built once per benchmark instance.
+and is called again. The read-only tables (flip-count thresholds and
+value classes) are built once per benchmark instance.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ class Loop(ctypes.Structure):
                 ("t", ctypes.c_int64), ("cutoff", ctypes.c_int64),
                 ("idle", ctypes.c_int64),
                 ("points", ctypes.POINTER(ctypes.c_int64)),
-                ("thresholds", _u64p), ("classes", _i32p),
-                ("half_mask", _u64p), ("xs", _u64p),
+                ("thresholds", _u64p), ("classes", _i32p), ("xs", _u64p),
                 ("f1s", _i32p), ("f2s", _i32p), ("slots", _i32p),
                 ("at_slot", _i32p), ("first_at", _i32p), ("child", _u64p),
                 ("out", ctypes.c_uint32 * 624)]
@@ -130,20 +128,10 @@ def library_path() -> str:
     return os.path.join(CACHE_DIR, f"_loop-{digest.hexdigest()}.so")
 
 
-def entry_point(lib):
-    """The loop entry point for this CPU: ``loop_run_popcnt`` where the
-    library has it (x86-64) and the CPU has the instruction, else the
-    portable ``loop_run``."""
-    popcnt = getattr(lib, "loop_run_popcnt", None)
-    if popcnt is not None and lib.loop_cpu_has_popcnt():
-        return popcnt
-    return lib.loop_run
-
-
 @lru_cache(maxsize=None)
 def library():
-    """The loaded kernel, built on first use, with its entry point for
-    this CPU as ``run``; None, with a warning, if that fails."""
+    """The loaded kernel, built on first use; None, with a warning, if
+    that fails."""
     try:
         path = library_path()
         if not os.path.exists(path):
@@ -161,26 +149,19 @@ def library():
                       "about 15 times slower", RuntimeWarning, stacklevel=2)
         return None
     ref = ctypes.POINTER(Loop)
-    i32, c_int = ctypes.c_int32, ctypes.c_int
-    for name, argtypes, restype in (
-            ("loop_start", [ref], None),
-            ("loop_class", [ref, i32, i32, _i32p], None),
-            ("loop_run", [ref], c_int),
-            # x86-64 only
-            ("loop_run_popcnt", [ref], c_int),
-            ("loop_cpu_has_popcnt", [], c_int)):
-        func = getattr(lib, name, None)
-        if func is not None:
-            func.argtypes = argtypes
-            func.restype = restype
-    lib.run = entry_point(lib)
+    lib.loop_start.argtypes = [ref]
+    lib.loop_start.restype = None
+    lib.loop_class.argtypes = [ref, ctypes.c_int32, ctypes.c_int32, _i32p]
+    lib.loop_class.restype = None
+    lib.loop_run.argtypes = [ref]
+    lib.loop_run.restype = ctypes.c_int
     return lib
 
 
 @lru_cache(maxsize=None)
 def tables(bspec):
     """The kernel's read-only arrays for one benchmark instance: the
-    flip-count thresholds, the class table and the half mask.
+    flip-count thresholds and the class table.
 
     The thresholds are floor(cdf[k] * 2^53) for the flip-count
     distribution ``cdf`` of the Python loop. ``random()`` is x / 2^53 for
@@ -196,7 +177,6 @@ def tables(bspec):
     every run of the instance shares them."""
     n = bspec.n
     kern = bspec.kernels()
-    words = (n + 63) // 64
     thresholds = (ctypes.c_uint64 * (n + 1))(
         *(math.floor(c * 2 ** 53) for c in engine._flip_count_cdf(n)))
     classes = None
@@ -204,9 +184,7 @@ def tables(bspec):
         classes = (ctypes.c_int32 * (4 * n + 4))(*chain.from_iterable(
             (f1, f2, kern.slot_from_pair(f1, f2), kern.is_front_pair(f1, f2))
             for f1, f2 in kern.values))
-    half_mask = (ctypes.c_uint64 * words).from_buffer_copy(
-        kern.half_mask.to_bytes(words * 8, "little"))
-    return thresholds, classes, half_mask
+    return thresholds, classes
 
 
 def run(lib, state, max_iters: int,
@@ -237,7 +215,7 @@ def run(lib, state, max_iters: int,
     bits = (u64 * (words * cap)).from_buffer_copy(b"".join(
         x.to_bytes(size, "little") for x in xs).ljust(size * cap, b"\0"))
     f1s, f2s, slots = ((i32 * cap)(*a) for a in (pop.f1s, pop.f2s, pop.slots))
-    thresholds, classes, half_mask = tables(state.bspec)
+    thresholds, classes = tables(state.bspec)
     version, internal, gauss = state.rng.getstate()
     points = (None if changes is None
               else (ctypes.c_int64 * (6 * POINTS))())
@@ -248,7 +226,6 @@ def run(lib, state, max_iters: int,
              # a field wraps silently; no run reaches 2^63 iterations
              cutoff=min(max_iters, 2 ** 63 - 1),
              points=points, thresholds=thresholds, classes=classes,
-             half_mask=half_mask,
              xs=bits, f1s=f1s, f2s=f2s, slots=slots,
              at_slot=(i32 * max(slot_draw, 1))(),
              # objective values lie in [0, 2n]: ones counts, plus the gap
@@ -258,14 +235,14 @@ def run(lib, state, max_iters: int,
     ref = ctypes.byref(r)
     lib.loop_start(ref)
     if changes is None:
-        lib.run(ref)
+        lib.loop_run(ref)
     else:
         words64 = memoryview(points).cast("B").cast("q")
         front_size = kern.front_size
         new, record = tuple.__new__, engine.TrajectoryRecord
         code = 2
         while code == 2:
-            code = lib.run(ref)
+            code = lib.loop_run(ref)
             # six words per point: t, size, max_g1, z_count (both -1 for
             # None), d_pf, covered
             flat = iter(words64[:6 * r.npoints].tolist())

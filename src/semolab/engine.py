@@ -445,15 +445,15 @@ def default_sample_period(n: int) -> int:
 
 
 def _sample(changes: list[TrajectoryRecord], end: int, period: int,
-            sample_at: tuple[int, ...], max_iters: int) -> Trajectory:
+            sample_at: tuple[int, ...]) -> Trajectory:
     """The sampled trajectory of a run that stopped at t = ``end``.
 
     ``changes`` holds the run's change points in strictly increasing t,
     all at most ``end``: ``measure`` at t=0 and after every insert.
     Between two of them nothing a record holds changes, so the state at t
     is the last change point at or before t. A record is due at t=0, at
-    every multiple of ``period``, at every point of ``sample_at`` in
-    (0, max_iters), at every change of the covered count, and at ``end``,
+    every multiple of ``period``, at every positive point of
+    ``sample_at``, at every change of the covered count, and at ``end``,
     each only up to ``end``. A record due at a change point is that
     change point; any other is the state with ``t`` replaced.
 
@@ -464,8 +464,7 @@ def _sample(changes: list[TrajectoryRecord], end: int, period: int,
     """
     # the due points that are neither period ticks nor covered changes,
     # ascending, then a stop past end
-    due = sorted({end, *(s for s in map(int, sample_at)
-                         if 0 < s <= end and s < max_iters)})
+    due = sorted({end, *(s for s in map(int, sample_at) if 0 < s <= end)})
     due.append(end + 1)
     i = 0
     runs: list[tuple[TrajectoryRecord, list[int]]] = []
@@ -556,7 +555,7 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
         final_covered=final.covered,
         final_front_covered=final.front_covered,
         interior_init=interior_init,
-        trajectory=(_sample(changes, t, period, sample_at, max_iters)
+        trajectory=(_sample(changes, t, period, sample_at)
                     if record_trajectory else _NO_TRAJECTORY),
     )
 

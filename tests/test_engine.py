@@ -651,7 +651,7 @@ class TestSampleSchedule:
     ])
     def test_matches_replay(self, points, end, period, sample_at, max_iters):
         changes = change_points(*points)
-        got = engine._sample(changes, end, period, sample_at, max_iters)
+        got = engine._sample(changes, end, period, sample_at)
         assert got == replay_schedule(changes, end, period, sample_at,
                                       max_iters)
         for rec in got:  # a record at a change point is that change point
@@ -674,9 +674,8 @@ class TestSampleSchedule:
             period = rng.randrange(1, 15)
             sample_at = tuple(rng.randrange(0, 70)
                               for _ in range(rng.randrange(0, 4)))
-            assert engine._sample(changes, end, period, sample_at,
-                                  max_iters) == replay_schedule(
-                changes, end, period, sample_at, max_iters)
+            assert engine._sample(changes, end, period, sample_at) == \
+                replay_schedule(changes, end, period, sample_at, max_iters)
 
     @pytest.mark.parametrize("record", [True, False])
     def test_measure_once_per_insert(self, monkeypatch, record):
@@ -775,8 +774,8 @@ def record_of(t, pop_size, d_pf, covered):
 MERGING_CHANGES = [record_of(0, 1, 3, 1), record_of(2, 1, 3, 1),
                    record_of(5, 2, 3, 2), record_of(6, 2, 3, 2),
                    record_of(9, 2, 3, 3)]
-# (end, period, sample_at, max_iters) of the run they end
-MERGING_RUN = (12, 4, (3,), 20)
+# (end, period, sample_at) of the run they end, at the cutoff 20
+MERGING_RUN = (12, 4, (3,))
 
 
 class TestTrajectory:
@@ -785,7 +784,7 @@ class TestTrajectory:
 
     def test_equal_neighbours_share_a_run(self, tmp_path):
         traj = self.merged()
-        records = replay_schedule(MERGING_CHANGES, *MERGING_RUN)
+        records = replay_schedule(MERGING_CHANGES, *MERGING_RUN, 20)
         assert traj == records
         assert [ts for _, ts in traj.runs] == [(0, 3, 4), (5, 8), (9, 12)]
         assert [rec.t for rec, _ in traj.runs] == [0, 5, 9]
@@ -805,18 +804,19 @@ class TestTrajectory:
 
         monkeypatch.setattr(engine, "_sample", sample)
         spec = BenchmarkSpec(Kind.COCZ, 64)
-        results = [run_until_cover(spec, AlgorithmSpec.gsemo(modified=True),
-                                   seed) for seed in range(3)]
+        alg = AlgorithmSpec.gsemo(modified=True)
+        results = [run_until_cover(spec, alg, seed) for seed in range(3)]
         assert any(a[1:] == b[1:] for changes, _ in seen
                    for a, b in zip(changes, changes[1:]))
         for res, (changes, args) in zip(results, seen):
-            assert res.trajectory == replay_schedule(changes, *args)
+            assert res.trajectory == replay_schedule(changes, *args,
+                                                     alg.cutoff(spec))
         assert write_and_load(results, tmp_path) == \
             [r.trajectory for r in results]
 
     def test_round_trip_random_schedules(self, tmp_path):
         for changes, end, period, sample_at, max_iters in random_schedules():
-            traj = engine._sample(changes, end, period, sample_at, max_iters)
+            traj = engine._sample(changes, end, period, sample_at)
             (loaded,) = write_and_load([omm9_trial(traj, end)], tmp_path)
             assert loaded == traj
             assert tuple(loaded) == tuple(traj)

@@ -9,11 +9,9 @@ replacing the loader, as a machine without a compiler would.
 import ctypes
 import itertools
 import os
-import platform
 import shutil
 import subprocess
 import sys
-import types
 
 import pytest
 
@@ -44,17 +42,6 @@ def kernel():
     lib = _loop.library()
     assert lib is not None, "a compiler exists but the kernel did not load"
     return lib
-
-
-def entry_points(lib):
-    """The kernel's entry points that this machine runs: the portable
-    build, and the popcnt build where the library has one and the CPU has
-    the instruction."""
-    found = [lib.loop_run]
-    popcnt = getattr(lib, "loop_run_popcnt", None)
-    if popcnt is not None and lib.loop_cpu_has_popcnt():
-        found.append(popcnt)
-    return found
 
 
 def outcome(monkeypatch, compiled, spec, alg, seed, rig=None, **kwargs):
@@ -105,24 +92,23 @@ CUTOFFS = (0, 1, 37, 3000)
 
 @needs_compiler
 @pytest.mark.parametrize("n", [2, 3, 8, 31, 32, 33, 63, 64, 65, 127, 128,
-                               129])
+                               129, 130, 256])
 def test_kernel_matches_python_loop(monkeypatch, kernel, n):
     # word boundaries (31..33, 63..65, 127..129), interior starts, slot
     # draws past the last slot and short of it, cutoffs inside a run and
-    # at its first two iterations, trajectories on and off, on each entry
-    # point
-    for entry in entry_points(kernel):
-        monkeypatch.setattr(kernel, "run", entry)
-        for (spec, interior), (variant, offset), cutoff, record, seed in \
-                itertools.product(specs(n), SELECTIONS, CUTOFFS,
-                                  (False, True), range(2)):
-            alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
-            args = (spec, alg, seed)
-            kwargs = dict(interior_init=interior, record_trajectory=record,
-                          slot_count_offset=offset)
-            assert outcome(monkeypatch, True, *args, **kwargs) == \
-                outcome(monkeypatch, False, *args, **kwargs), (
-                    entry.__name__, spec, alg, seed, kwargs)
+    # at its first two iterations, trajectories on and off. 130 and 256
+    # run cocz on the generic width, with the half inside a word (65) and
+    # on a word boundary (128)
+    for (spec, interior), (variant, offset), cutoff, record, seed in \
+            itertools.product(specs(n), SELECTIONS, CUTOFFS, (False, True),
+                              range(2)):
+        alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+        args = (spec, alg, seed)
+        kwargs = dict(interior_init=interior, record_trajectory=record,
+                      slot_count_offset=offset)
+        assert outcome(monkeypatch, True, *args, **kwargs) == \
+            outcome(monkeypatch, False, *args, **kwargs), (
+                spec, alg, seed, kwargs)
 
 
 @needs_compiler
@@ -185,10 +171,10 @@ def test_runs_resume_after_inserts_inside_a_block(monkeypatch, kernel):
 
 
 def count_calls(monkeypatch, kernel):
-    """Count the kernel's ``run`` calls in the returned list's only item,
+    """Count the ``loop_run`` calls in the returned list's only item,
     and let ``Population.insert`` run for the initial individual only."""
     calls = [0]
-    real_run = kernel.run
+    real_run = kernel.loop_run
     real_insert = Population.insert
 
     def counted_run(ref):
@@ -201,7 +187,7 @@ def count_calls(monkeypatch, kernel):
                                  "individual")
         return real_insert(pop, *args)
 
-    monkeypatch.setattr(kernel, "run", counted_run)
+    monkeypatch.setattr(kernel, "loop_run", counted_run)
     monkeypatch.setattr(Population, "insert", first_insert_only)
     return calls
 
@@ -302,7 +288,7 @@ def kernel_class(kernel, spec, ones, g1=0):
     """(f1, f2, slot, front flag) that the kernel gives a string of spec
     with ``ones`` ones, ``g1`` of them in the first half."""
     n = spec.n
-    _, classes, _ = _loop.tables(spec)
+    _, classes = _loop.tables(spec)
     r = _loop.Loop(n=n, half=n // 2, classes=classes)
     out = (ctypes.c_int32 * 4)()
     kernel.loop_class(ctypes.byref(r), ones, g1, out)
@@ -313,7 +299,10 @@ def kernel_class(kernel, spec, ones, g1=0):
 def test_value_classes_match_the_kernels(kernel):
     # the kernel's second definition of the update's slot and front flag
     # against the Kernels callables: every ones count of omm and ojzj, and
-    # every (g1, g2) of cocz
+    # every (g1, g2) of cocz. The kernel starts an offspring's counts from
+    # its parent's class, so the class must give them back: the slot is
+    # the ones count on omm and ojzj, and on cocz f1 is the ones count and
+    # f1 - slot is g1
     for n in range(2, 131):
         specs = [BenchmarkSpec(Kind.OMM, n)]
         specs += [BenchmarkSpec(Kind.OJZJ, n, k) for k in (2, 3) if k <= n]
@@ -321,57 +310,27 @@ def test_value_classes_match_the_kernels(kernel):
             kern = spec.kernels()
             for ones in range(n + 1):
                 f1, f2 = kern.evaluate((1 << ones) - 1)
-                assert kernel_class(kernel, spec, ones) == (
-                    f1, f2, kern.slot_from_pair(f1, f2),
-                    kern.is_front_pair(f1, f2)), (spec, ones)
+                got = kernel_class(kernel, spec, ones)
+                assert got == (f1, f2, kern.slot_from_pair(f1, f2),
+                               kern.is_front_pair(f1, f2)), (spec, ones)
+                assert got[2] == ones, (spec, ones)
     for n in range(2, 17, 2):
         spec = BenchmarkSpec(Kind.COCZ, n)
         kern = spec.kernels()
         half = n // 2
         for g1, g2 in itertools.product(range(half + 1), repeat=2):
             f1, f2 = kern.evaluate((1 << g1) - 1 | ((1 << g2) - 1) << half)
-            assert kernel_class(kernel, spec, g1 + g2, g1) == (
-                f1, f2, kern.slot_from_pair(f1, f2),
-                kern.is_front_pair(f1, f2)), (spec, g1, g2)
-
-
-def test_entry_point_dispatch():
-    # the popcnt build only where the library has it and the CPU has the
-    # instruction; otherwise, as on every target but x86-64, the portable
-    # build, and never no entry point at all
-    def lib(cpu=None):
-        fake = types.SimpleNamespace(loop_run="portable")
-        if cpu is not None:
-            fake.loop_run_popcnt = "popcnt"
-            fake.loop_cpu_has_popcnt = lambda: cpu
-        return fake
-
-    assert _loop.entry_point(lib()) == "portable"
-    assert _loop.entry_point(lib(cpu=0)) == "portable"
-    assert _loop.entry_point(lib(cpu=1)) == "popcnt"
-
-
-@needs_compiler
-def test_loader_takes_the_popcnt_build_where_it_can(kernel):
-    # gcc and clang build the popcnt entry on x86-64, and a CPU with the
-    # instruction takes it; elsewhere the portable build runs
-    version = subprocess.run([*compiler(), "--version"], text=True,
-                             stdout=subprocess.PIPE).stdout
-    gnu = any(name in version for name in ("gcc", "clang",
-                                           "Free Software Foundation"))
-    if platform.machine() == "x86_64" and gnu:
-        assert kernel.run is (kernel.loop_run_popcnt
-                              if kernel.loop_cpu_has_popcnt()
-                              else kernel.loop_run)
-    else:
-        assert kernel.run is kernel.loop_run
+            got = kernel_class(kernel, spec, g1 + g2, g1)
+            assert got == (f1, f2, kern.slot_from_pair(f1, f2),
+                           kern.is_front_pair(f1, f2)), (spec, g1, g2)
+            assert (got[0], got[0] - got[2]) == (g1 + g2, g1), (spec, g1, g2)
 
 
 @needs_compiler
 def test_tables_do_not_leak_between_kinds(monkeypatch, kernel):
     # the read-only tables are cached per benchmark instance; omm, ojzj and
-    # cocz of one n share the flip-count distribution but not the values
-    # or the half mask, and must not be handed each other's
+    # cocz of one n share the flip-count distribution but not the values,
+    # and must not be handed each other's
     _loop.tables.cache_clear()
     for n in (16, 64, 128):
         for spec in (BenchmarkSpec(Kind.OMM, n),
@@ -420,7 +379,7 @@ def test_thresholds_are_the_floors_of_the_scaled_distribution():
     # exactly
     for n in range(2, 301):
         cdf = _flip_count_cdf(n)
-        thresholds, _, _ = _loop.tables(BenchmarkSpec(Kind.OMM, n))
+        thresholds, _ = _loop.tables(BenchmarkSpec(Kind.OMM, n))
         assert len(thresholds) == n + 1
         for k, (t, c) in enumerate(zip(thresholds, cdf)):
             assert t <= c * 2 ** 53 < t + 1, (n, k)
@@ -431,16 +390,15 @@ def test_thresholds_are_the_floors_of_the_scaled_distribution():
 @pytest.mark.parametrize("n", [3, 8, 12, 20, 32, 33, 64, 127])
 def test_flip_count_ties(monkeypatch, kernel, n):
     # the flip count is the least k with u <= cdf[k]; u is placed on the
-    # kernel's thresholds T[k] / 2^53 and one step above, for k = 0, 1, 2,
-    # on each entry point. Where cdf[k] * 2^53 is an integer, T[k] / 2^53
+    # kernel's thresholds T[k] / 2^53 and one step above, for k = 0, 1, 2.
+    # Where cdf[k] * 2^53 is an integer, T[k] / 2^53
     # is cdf[k] itself, where a strict comparison would draw one more
     # position; at n = 12 and 20 cdf[0] * 2^53 is a half-integer, which
     # lies between the two draws
-    thresholds, _, _ = _loop.tables(BenchmarkSpec(Kind.OMM, n))
+    thresholds, _ = _loop.tables(BenchmarkSpec(Kind.OMM, n))
     spec = BenchmarkSpec(Kind.OMM, n)
-    for entry, j, step, variant in itertools.product(
-            entry_points(kernel), range(3), (0, 1), ("original", "modified")):
-        monkeypatch.setattr(kernel, "run", entry)
+    for j, step, variant in itertools.product(range(3), (0, 1),
+                                              ("original", "modified")):
         alg = AlgorithmSpec.from_names("gsemo", variant, 3)
 
         def rig(state):
@@ -454,7 +412,7 @@ def test_flip_count_ties(monkeypatch, kernel, n):
 
         python = outcome(monkeypatch, False, spec, alg, 5, rig)
         assert python == outcome(monkeypatch, True, spec, alg, 5, rig), (
-            entry.__name__, j, step)
+            j, step)
 
 
 def test_rigged_draws_reach_the_loop():
