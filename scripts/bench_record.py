@@ -18,16 +18,20 @@ alternate two checkouts seed by seed, add up to one file.
 trace mode, each metric's median and quartiles over the runs (taken by
 ``compare.py``'s own ``quartiles``), the rounds each run made, the
 operations attempted and failed, and the result digest of every seed; and
-the environment block the runs reported (commit, versions, CPU). A run
-that reports problems (a failed operation or check, a missing metric) or a
-digest that differs from the pinned one is kept in DIR but stops the
-summary: the script names it and writes no BENCH file.
+the environment block the runs reported (commit, versions, CPU). Each
+record also gets the ``source_sha256`` of the package source it measured,
+which the BENCH file lists next to the commits: a checkout made from an
+archive has no commit to report. A run that reports problems (a failed
+operation or check, a missing metric) or a digest that differs from the
+pinned one is kept in DIR but stops the summary: the script names it and
+writes no BENCH file.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import shutil
@@ -56,6 +60,20 @@ def run_once(workload: str, seed: int) -> dict:
             return json.load(fh)
     finally:
         shutil.rmtree(results, ignore_errors=True)
+
+
+def source_sha256(root: str = ".") -> str:
+    """The sha256 of the package source under ``root``: the name, size and
+    bytes of each ``src/semolab/*.py`` and ``*.c`` file, in sorted order."""
+    digest = hashlib.sha256()
+    package = os.path.join(root, "src", "semolab")
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))
+                       + glob.glob(os.path.join(package, "*.c"))):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest.update(f"{os.path.basename(path)}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def keep(record: dict, directory: str) -> None:
@@ -105,8 +123,9 @@ def summary(label: str, runs: dict) -> dict:
     records = [r for recs in runs.values() for r in recs]
     env = {k: v for k, v in records[0]["env"].items() if k != "seed"}
     shas = sorted({str(r["env"].get("git_sha")) for r in records})
-    return {"label": label, "git_shas": shas, "env": env,
-            "workloads": workloads}
+    sources = sorted({str(r.get("source_sha256")) for r in records})
+    return {"label": label, "git_shas": shas, "source_sha256s": sources,
+            "env": env, "workloads": workloads}
 
 
 def main() -> int:
@@ -125,9 +144,11 @@ def main() -> int:
         workloads = args.workload or [w["name"]
                                       for w in json.load(fh)["workloads"]]
     runs: dict = {}
+    source = source_sha256()
     for seed in args.seeds:
         for workload in workloads:
             record = run_once(workload, seed)
+            record["source_sha256"] = source
             print(f"{workload} seed {seed}: {len(record['rounds'])} rounds, "
                   f"failed {record['failed']}/{record['attempted']}, digest "
                   f"{record['digest']} ({record['digest_state']})",

@@ -20,23 +20,23 @@
    holds the loop body three times, for strings of one 64-bit word, of
    two and of any width.
 
-   Random numbers come from a copy of the state of the run's random.Random
-   and are drawn exactly as CPython's _randommodule.c draws them:
-   getrandbits(k) for 0 < k <= 32 is one word shifted right by 32 - k,
-   getrandbits(0) draws nothing, and random() takes two words. Every draw
-   is made in the order of the Python loop, so both give the same results
-   and leave the generator in the same state. random() is x / 2^53 for
-   the 53-bit integer x of its two words (random53()), so the Python
-   loop's u <= cdf[k] holds exactly when x <= floor(cdf[k] * 2^53), the
+   Random numbers come from the run's random.Random itself, drawn exactly
+   as CPython's _randommodule.c draws them: getrandbits(k) for
+   0 < k <= 32 is one word shifted right by 32 - k, getrandbits(0) draws
+   nothing, and random() takes two words. Every draw is made in the order
+   of the Python loop, so both give the same results and leave the
+   generator in the same state. random() is x / 2^53 for the 53-bit
+   integer x of its two words (random53()), so the Python loop's
+   u <= cdf[k] holds exactly when x <= floor(cdf[k] * 2^53), the
    thresholds[k] that Python computes: the kernel draws the flip count
    with integer comparisons alone and has no floating-point arithmetic.
 
-   mt[] and mti are the generator state exactly as getstate() and
-   setstate() exchange it: untempered words and the index of the next one.
-   out[j] is the tempered mt[j] for every j, so the next output is
-   out[mti]. loop_start() tempers out[] from the mt[] Python wrote, and
-   only twist() changes mt[] after that: it advances all 624 words and
-   tempers each into out[] in the same pass. */
+   mt and index point into the generator object, at the state[] and index
+   of CPython's RandomObject (the loader checks that layout): untempered
+   words and the position of the next one. out[j] is the tempered mt[j],
+   so the next output is out[*index]. loop_start() tempers out[]; only
+   twist() changes mt[] after that, in place, tempering each word into
+   out[] in the same pass, and run() writes back its copy of *index. */
 
 #include <stdint.h>
 #include <string.h>
@@ -48,8 +48,8 @@
 #define INLINE static inline __attribute__((always_inline))
 
 struct loop {
-    uint32_t mt[MT_N];       /* random.Random's state words ... */
-    int32_t mti;             /* ... and its position in them */
+    uint32_t *mt;            /* the state words of the run's generator ... */
+    int *index;              /* ... and its position in them */
     int32_t n;               /* string length */
     int32_t words;           /* 64-bit words per string */
     int32_t half;            /* n/2 on cocz, unused otherwise */
@@ -109,7 +109,7 @@ static void twist(uint32_t *restrict mt, uint32_t *restrict out)
     out[MT_N - 1] = temper(mt[MT_N - 1]);
 }
 
-/* the next 32-bit output; *mti is the caller's copy of r->mti */
+/* the next 32-bit output; *mti is the caller's copy of *r->index */
 INLINE uint32_t genrand(struct loop *r, int *mti)
 {
     if (*mti >= MT_N) {
@@ -198,7 +198,7 @@ static void reindex(struct loop *r)
     }
 }
 
-/* Temper out[] from mt[] and index the members. */
+/* Temper out[] from the generator's words and index the members. */
 void loop_start(struct loop *r)
 {
     int j;
@@ -304,7 +304,7 @@ INLINE int run(struct loop *r, int words)
     uint64_t *const xs = r->xs, *const child = r->child;
     const int64_t cutoff = r->cutoff;
     int64_t t = r->t, idle = r->idle;
-    int m = r->m, mbits = draw_bits((uint32_t)m), mti = r->mti, found = 0;
+    int m = r->m, mbits = draw_bits((uint32_t)m), mti = *r->index, found = 0;
 
     while (t < cutoff) {
         const uint64_t *parent;
@@ -367,7 +367,7 @@ INLINE int run(struct loop *r, int words)
             break;
         }
     }
-    r->mti = mti;
+    *r->index = mti;
     r->t = t;
     r->idle = idle;
     return found;

@@ -11,13 +11,14 @@ temporary name and renamed into place, so processes that build it at the
 same time do not see each other's partial output; a successful build then
 removes the libraries of other sources and flags. The kernel counts no
 bits, so one portable build runs on every CPU. When the library cannot be
-built or loaded, or its ``struct loop`` does not have the size of
-``Loop``, ``library()`` warns and returns None, and the engine runs its
-Python loop, which gives the same results.
+built or loaded, its ``struct loop`` does not have the size of ``Loop``,
+or ``check_layout`` finds no CPython ``RandomObject`` (any other
+interpreter), ``library()`` warns and returns None, and the engine runs
+its Python loop, which gives the same results.
 
 ``run`` drives the kernel for one run, and the kernel applies every
-population update itself. The generator state crosses as one buffer copy
-each way, at the start and at the end of the run, and so do the members:
+population update itself. It twists the run's ``random.Random`` in place,
+so the generator is not copied; the members cross as one copy each way:
 their bits, values and slots, and the front count. The whole run is one
 ``loop_run`` call. With trajectories on, the kernel also writes the change
 point after every insert into a buffer of ``POINTS`` points, which ``run``
@@ -33,7 +34,8 @@ import ctypes
 import hashlib
 import math
 import os
-import struct
+import random
+import sys
 from functools import lru_cache
 from itertools import chain
 
@@ -57,7 +59,7 @@ class Loop(ctypes.Structure):
     """``struct loop`` of ``_loop.c``, field for field; ``library()``
     checks its size against ``loop_sizeof()``."""
 
-    _fields_ = [("mt", ctypes.c_uint32 * 624), ("mti", ctypes.c_int32),
+    _fields_ = [("mt", ctypes.c_void_p), ("index", ctypes.c_void_p),
                 ("n", ctypes.c_int32), ("words", ctypes.c_int32),
                 ("half", ctypes.c_int32), ("slot_draw", ctypes.c_int32),
                 ("m", ctypes.c_int32), ("front_count", ctypes.c_int32),
@@ -72,8 +74,9 @@ class Loop(ctypes.Structure):
                 ("out", ctypes.c_uint32 * 624)]
 
 
-# Loop.mt as one buffer: the generator state crosses in a single copy
-MT_FORMAT = "624I"
+# where CPython's RandomObject keeps its ``int index``, followed by its
+# ``uint32_t state[624]``: right after the object header
+OFFSET = object.__basicsize__
 
 
 def compilers() -> list[list[str]]:
@@ -128,11 +131,33 @@ def library_path() -> str:
     return os.path.join(CACHE_DIR, f"_loop-{digest.hexdigest()}.so")
 
 
+def check_layout() -> None:
+    """OSError unless a ``random.Random`` keeps its index at ``OFFSET`` and
+    its state words after it, where ``run`` points the kernel: a probe read
+    in place after some draws must match its ``getstate()``, and another
+    state written in place must be what ``getstate()`` then returns."""
+    if (sys.implementation.name != "cpython"
+            or random.Random.__base__.__basicsize__ < OFFSET + 4 + 4 * 624):
+        raise OSError("random.Random is not CPython's RandomObject")
+    probe = random.Random(0)
+    for _ in range(3):
+        probe.random()
+    index = ctypes.c_int.from_address(id(probe) + OFFSET)
+    words = (ctypes.c_uint32 * 624).from_address(id(probe) + OFFSET + 4)
+    if (*words, index.value) != probe.getstate()[1]:
+        raise OSError(f"random.Random's state is not at offset {OFFSET}")
+    other = random.Random(1).getstate()
+    words[:], index.value = other[1][:624], other[1][624]
+    if probe.getstate() != other:
+        raise OSError("random.Random's state cannot be written in place")
+
+
 @lru_cache(maxsize=None)
 def library():
     """The loaded kernel, built on first use; None, with a warning, if
-    that fails."""
+    that fails or the generator's layout is not CPython's."""
     try:
+        check_layout()
         path = library_path()
         if not os.path.exists(path):
             build(path)
@@ -144,9 +169,10 @@ def library():
                           f"{path} and {ctypes.sizeof(Loop)} in Loop")
     except OSError as exc:
         import warnings
-        warnings.warn(f"the compiled run loop is unavailable ({exc}); GSEMO "
-                      "runs take the Python loop, with the same results, "
-                      "about 15 times slower", RuntimeWarning, stacklevel=2)
+        warnings.warn(f"the compiled run loop (CPython only) is unavailable "
+                      f"({exc}); GSEMO runs take the Python loop, with the "
+                      "same results, about 15 times slower", RuntimeWarning,
+                      stacklevel=2)
         return None
     ref = ctypes.POINTER(Loop)
     lib.loop_start.argtypes = [ref]
@@ -193,35 +219,40 @@ def run(lib, state, max_iters: int,
     front or reaches ``max_iters``; returns the last iteration and the
     idle draws.
 
-    This is one ``loop_run`` call. With ``changes`` a list, the kernel
-    also writes the change point after every insert, the fields of
-    ``engine.measure``, and ``run`` appends them to it as records, as
-    ``_python_loop`` appends ``measure(state)``. When the buffer fills
-    (return code 2) they are appended and the kernel is called again.
+    This is one ``loop_run`` call, which advances ``state.rng`` in place.
+    With ``changes`` a list, the kernel also writes the change point after
+    every insert, the fields of ``engine.measure``, and ``run`` appends
+    them to it as records, as ``_python_loop`` appends ``measure(state)``.
+    A full buffer (return code 2) is appended and the kernel called again.
     """
+    if not isinstance(state.rng, random.Random):  # no RandomObject to write
+        raise TypeError(f"state.rng is a {type(state.rng).__name__}, not a "
+                        "random.Random that the kernel advances in place")
     pop = state.pop
     kern = state.kernels
     xs = pop.xs
     n = state.n
     words = (n + 63) // 64
-    size = words * 8
     cap = kern.slot_count
-    if len(xs) > cap:
+    m = len(xs)
+    if m > cap:
         raise ValueError("population exceeds its slot count")
     slot_draw = (state.slot_draw_count
                  if state.alg.selection is engine.Selection.SLOT_PARENT
                  else 0)
     i32, u64 = ctypes.c_int32, ctypes.c_uint64
-    bits = (u64 * (words * cap)).from_buffer_copy(b"".join(
-        x.to_bytes(size, "little") for x in xs).ljust(size * cap, b"\0"))
-    f1s, f2s, slots = ((i32 * cap)(*a) for a in (pop.f1s, pop.f2s, pop.slots))
+    bits = (u64 * (words * cap))()
+    bits[:m * words] = [x >> s & 2 ** 64 - 1 for x in xs
+                        for s in range(0, 64 * words, 64)]
+    f1s, f2s, slots = (i32 * cap)(), (i32 * cap)(), (i32 * cap)()
+    f1s[:m], f2s[:m], slots[:m] = pop.f1s, pop.f2s, pop.slots
     thresholds, classes = tables(state.bspec)
-    version, internal, gauss = state.rng.getstate()
+    at = id(state.rng) + OFFSET
     points = (None if changes is None
               else (ctypes.c_int64 * (6 * POINTS))())
     # the struct keeps every buffer assigned to it alive
-    r = Loop(mti=internal[624], n=n, words=words, half=n // 2,
-             slot_draw=slot_draw, m=len(xs), front_count=pop.front_count,
+    r = Loop(mt=at + 4, index=at, n=n, words=words, half=n // 2,
+             slot_draw=slot_draw, m=m, front_count=pop.front_count,
              front_size=kern.front_size, span=kern.slot_span, cap=POINTS,
              # a field wraps silently; no run reaches 2^63 iterations
              cutoff=min(max_iters, 2 ** 63 - 1),
@@ -231,7 +262,6 @@ def run(lib, state, max_iters: int,
              # objective values lie in [0, 2n]: ones counts, plus the gap
              # on ojzj
              first_at=(i32 * (2 * n + 1))(), child=(u64 * words)())
-    struct.pack_into(MT_FORMAT, r, Loop.mt.offset, *internal[:624])
     ref = ctypes.byref(r)
     lib.loop_start(ref)
     if changes is None:
@@ -252,10 +282,12 @@ def run(lib, state, max_iters: int,
                              None if z < 0 else z, d, c, c / front_size))
                 for t, size, g1, z, d, c in zip(*[flat] * 6))
     m = r.m
-    raw = bytes(bits)
-    from_bytes = int.from_bytes
-    xs[:] = [from_bytes(raw[i:i + size], "little")
-             for i in range(0, m * size, size)]
+    if words == 1:  # the words are the members: no bytes round trip
+        xs[:] = bits[:m]
+    else:
+        raw, size = bytes(bits), 8 * words
+        xs[:] = [int.from_bytes(raw[i:i + size], "little")
+                 for i in range(0, m * size, size)]
     pop.f1s[:] = f1s[:m]
     pop.f2s[:] = f2s[:m]
     pop.slots[:] = slots[:m]
@@ -263,6 +295,4 @@ def run(lib, state, max_iters: int,
     by_slot.clear()
     by_slot.update(zip(pop.slots, xs))
     pop.front_count = r.front_count
-    mt = struct.unpack_from(MT_FORMAT, r, Loop.mt.offset)
-    state.rng.setstate((version, mt + (r.mti,), gauss))
     return r.t, r.idle

@@ -24,13 +24,13 @@ share one loop. ``step`` is the readable reference implementation of a
 single iteration; only tests call it, as the oracle the loop is held to
 state for state. The loop has two implementations that give the same
 bytes. Standard bit mutation (GSEMO) until cover runs in ``_loop.c``,
-compiled on first use (see ``_loop``), which replays the run's Mersenne
-Twister word for word and applies ``Population.insert``'s update to its
-own copy of the members, and writes the change points of a run with
-trajectories into a buffer: a run is one foreign call, and the
-population is copied back when it ends. One-bit mutation (SEMO),
+compiled on first use (see ``_loop``), which advances the run's Mersenne
+Twister in place, word for word, and applies ``Population.insert``'s
+update to its own copy of the members, and writes the change points of
+a run with trajectories into a buffer: a run is one foreign call, and
+the population is copied back when it ends. One-bit mutation (SEMO),
 budget runs (the kernel's set-up costs more than one) and every run when
-the kernel cannot be built take ``_python_loop``. An iteration pays only
+the kernel cannot be loaded take ``_python_loop``. An iteration pays only
 for what it draws (the kernel keeps no memo of fates, because it
 evaluates an offspring faster than a memo could be read):
 
@@ -331,7 +331,8 @@ class TrialResult:
 
 
 class RunState:
-    """Mutable per-run state; confined to a single thread."""
+    """Mutable per-run state, confined to a single thread: a kernel run
+    advances ``rng`` in place with the GIL released."""
 
     __slots__ = ("bspec", "alg", "kernels", "pop", "rng", "n", "t",
                  "evaluations", "flip_cdf", "slot_draw_count")

@@ -9,6 +9,7 @@ replacing the loader, as a machine without a compiler would.
 import ctypes
 import itertools
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -170,6 +171,85 @@ def test_runs_resume_after_inserts_inside_a_block(monkeypatch, kernel):
     assert covered == {False, True}
 
 
+class CountingRandom(random.Random):
+    """A generator that overrides ``random()`` and calls the base class, as
+    a tracing generator does: same stream, one more attribute."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+def as_subclass(made):
+    """A rig that moves the run to a ``CountingRandom`` in the same state
+    and appends it to ``made``."""
+    def rig(state):
+        rng = CountingRandom()
+        rng.setstate(state.rng.getstate())
+        state.rng = rng
+        made.append(rng)
+    return rig
+
+
+@needs_compiler
+def test_subclass_of_random_matches_python_loop(monkeypatch, kernel):
+    # the kernel advances the subclass instance's own state words, which
+    # sit where they sit in a random.Random; the Python loop calls the
+    # override, the kernel does not, and both end in the same state
+    made = []
+    for (spec, interior), variant, record in itertools.product(
+            specs(8) + specs(33), ("original", "modified"), (False, True)):
+        alg = AlgorithmSpec.from_names("gsemo", variant, 3000)
+        args = (spec, alg, 6, as_subclass(made))
+        kwargs = dict(interior_init=interior, record_trajectory=record)
+        assert outcome(monkeypatch, True, *args, **kwargs) == \
+            outcome(monkeypatch, False, *args, **kwargs), (spec, alg, kwargs)
+        compiled, python = made[-2:]
+        assert compiled.calls == 0 < python.calls, (spec, alg, kwargs)
+
+
+@needs_compiler
+def test_run_rejects_a_generator_that_is_not_a_random(kernel):
+    # the kernel writes into the generator object at CPython's
+    # RandomObject offsets, so anything else is refused before the call
+    class Foreign:
+        def __init__(self, rng):
+            self.getrandbits, self.random = rng.getrandbits, rng.random
+
+    spec = BenchmarkSpec(Kind.OMM, 8)
+    state = engine.init_state(spec, AlgorithmSpec.gsemo(), 1)
+    state.rng = Foreign(state.rng)
+    with pytest.raises(TypeError, match="random.Random"):
+        _loop.run(kernel, state, 100, None)
+    assert state.t == 0 and len(state.pop) == 1
+
+
+@needs_compiler
+def test_wrong_generator_layout_takes_the_python_loop(monkeypatch, kernel):
+    # negative control of the layout check: at a wrong offset the probe
+    # reads back something other than its getstate(), so the loader warns
+    # and returns None, and a run takes the Python loop with the same result
+    spec = BenchmarkSpec(Kind.COCZ, 16)
+    alg = AlgorithmSpec.from_names("gsemo", "modified")
+    expected = run_until_cover(spec, alg, 7, record_trajectory=True)
+    python_runs = []
+    real = engine._python_loop
+    monkeypatch.setattr(engine, "_python_loop",
+                        lambda *args: python_runs.append(1) or real(*args))
+    monkeypatch.setattr(_loop, "OFFSET", _loop.OFFSET - 4)
+    _loop.library.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="not at offset"):
+            assert _loop.library() is None
+        assert run_until_cover(spec, alg, 7,
+                               record_trajectory=True) == expected
+    finally:
+        _loop.library.cache_clear()
+    assert python_runs == [1]
+
+
 def count_calls(monkeypatch, kernel):
     """Count the ``loop_run`` calls in the returned list's only item,
     and let ``Population.insert`` run for the initial individual only."""
@@ -266,6 +346,9 @@ def test_struct_layout_matches(kernel, tmp_path):
     # field of Loop by name
     assert kernel.loop_sizeof() == ctypes.sizeof(_loop.Loop)
     names = [name for name, _ in _loop.Loop._fields_]
+    # the generator is reached through two pointers into its object
+    assert names[:2] == ["mt", "index"]
+    assert _loop.Loop.index.size == ctypes.sizeof(ctypes.c_void_p)
     probe = tmp_path / "probe.c"
     probe.write_text(
         "#include <stddef.h>\n#include <stdio.h>\n"
