@@ -74,8 +74,7 @@ class Loop(ctypes.Structure):
                 ("out", ctypes.c_uint32 * 624)]
 
 
-# where CPython's RandomObject keeps its ``int index``, followed by its
-# ``uint32_t state[624]``: right after the object header
+# CPython's RandomObject: ``int index``, then ``state[624]``, after the header
 OFFSET = object.__basicsize__
 
 
@@ -170,9 +169,8 @@ def library():
     except OSError as exc:
         import warnings
         warnings.warn(f"the compiled run loop (CPython only) is unavailable "
-                      f"({exc}); GSEMO runs take the Python loop, with the "
-                      "same results, about 15 times slower", RuntimeWarning,
-                      stacklevel=2)
+                      f"({exc}); GSEMO takes the Python loop: same results, "
+                      "about 15 times slower", RuntimeWarning, stacklevel=2)
         return None
     ref = ctypes.POINTER(Loop)
     lib.loop_start.argtypes = [ref]
@@ -226,33 +224,30 @@ def run(lib, state, max_iters: int,
     A full buffer (return code 2) is appended and the kernel called again.
     """
     if not isinstance(state.rng, random.Random):  # no RandomObject to write
-        raise TypeError(f"state.rng is a {type(state.rng).__name__}, not a "
-                        "random.Random that the kernel advances in place")
+        raise TypeError(f"not a random.Random: {type(state.rng).__name__}")
     pop = state.pop
     kern = state.kernels
     xs = pop.xs
     n = state.n
     words = (n + 63) // 64
+    size = words * 8
     cap = kern.slot_count
-    m = len(xs)
-    if m > cap:
+    if len(xs) > cap:
         raise ValueError("population exceeds its slot count")
     slot_draw = (state.slot_draw_count
                  if state.alg.selection is engine.Selection.SLOT_PARENT
                  else 0)
     i32, u64 = ctypes.c_int32, ctypes.c_uint64
-    bits = (u64 * (words * cap))()
-    bits[:m * words] = [x >> s & 2 ** 64 - 1 for x in xs
-                        for s in range(0, 64 * words, 64)]
-    f1s, f2s, slots = (i32 * cap)(), (i32 * cap)(), (i32 * cap)()
-    f1s[:m], f2s[:m], slots[:m] = pop.f1s, pop.f2s, pop.slots
+    bits = (u64 * (words * cap)).from_buffer_copy(b"".join(
+        x.to_bytes(size, "little") for x in xs).ljust(size * cap, b"\0"))
+    f1s, f2s, slots = ((i32 * cap)(*a) for a in (pop.f1s, pop.f2s, pop.slots))
     thresholds, classes = tables(state.bspec)
     at = id(state.rng) + OFFSET
     points = (None if changes is None
               else (ctypes.c_int64 * (6 * POINTS))())
     # the struct keeps every buffer assigned to it alive
     r = Loop(mt=at + 4, index=at, n=n, words=words, half=n // 2,
-             slot_draw=slot_draw, m=m, front_count=pop.front_count,
+             slot_draw=slot_draw, m=len(xs), front_count=pop.front_count,
              front_size=kern.front_size, span=kern.slot_span, cap=POINTS,
              # a field wraps silently; no run reaches 2^63 iterations
              cutoff=min(max_iters, 2 ** 63 - 1),
@@ -282,12 +277,10 @@ def run(lib, state, max_iters: int,
                              None if z < 0 else z, d, c, c / front_size))
                 for t, size, g1, z, d, c in zip(*[flat] * 6))
     m = r.m
-    if words == 1:  # the words are the members: no bytes round trip
-        xs[:] = bits[:m]
-    else:
-        raw, size = bytes(bits), 8 * words
-        xs[:] = [int.from_bytes(raw[i:i + size], "little")
-                 for i in range(0, m * size, size)]
+    raw = bytes(bits)
+    from_bytes = int.from_bytes
+    xs[:] = [from_bytes(raw[i:i + size], "little")
+             for i in range(0, m * size, size)]
     pop.f1s[:] = f1s[:m]
     pop.f2s[:] = f2s[:m]
     pop.slots[:] = slots[:m]

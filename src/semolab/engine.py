@@ -29,9 +29,9 @@ Twister in place, word for word, and applies ``Population.insert``'s
 update to its own copy of the members, and writes the change points of
 a run with trajectories into a buffer: a run is one foreign call, and
 the population is copied back when it ends. One-bit mutation (SEMO),
-budget runs (the kernel's set-up costs more than one) and every run when
-the kernel cannot be loaded take ``_python_loop``. An iteration pays only
-for what it draws (the kernel keeps no memo of fates, because it
+budget runs (a few dozen offspring, mostly the kernel's set-up) and every
+run when the kernel cannot be loaded take ``_python_loop``. An iteration
+pays only for what it draws (the kernel keeps no memo of fates, because it
 evaluates an offspring faster than a memo could be read):
 
 * Zero-flip copies stop after their draws, omm and ojzj offspring read
