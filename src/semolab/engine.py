@@ -29,10 +29,10 @@ Twister in place, word for word, and applies ``Population.insert``'s
 update to its own copy of the members, and writes the change points of
 a run with trajectories into a buffer: a run is one foreign call, and
 the population is copied back when it ends. One-bit mutation (SEMO),
-budget runs (a few dozen offspring, mostly the kernel's set-up) and every
-run when the kernel cannot be loaded take ``_python_loop``. An iteration
-pays only for what it draws (the kernel keeps no memo of fates, because it
-evaluates an offspring faster than a memo could be read):
+budget runs and every run when the kernel cannot be loaded take
+``_python_loop``; budget runs stay there until the suite-controls
+benchmark's memory stops growing with its rounds (ROADMAP items 8 and 9).
+An iteration pays only for what it draws:
 
 * Zero-flip copies stop after their draws, omm and ojzj offspring read
   their objective pair from the per-spec table ``Kernels.values`` (cocz
@@ -42,12 +42,13 @@ evaluates an offspring faster than a memo could be read):
   at equal value, or changes the value set) depends only on its objective
   pair and the population's values, and the pair depends only on its
   value class: the ones count, plus the first-half count times n + 1 on
-  cocz (``Kernels.half_mask``). The loop keeps a per-run memo from class
-  to fate, so ``evaluate``, the bisection and the dominance test run once
-  per class between two inserts. Only ``Population.insert`` changes the
-  values, and the memo is cleared after each; an equal-value replacement
-  changes the member's bits, not the values or their order, so the
-  memoised index stays right.
+  cocz (``Kernels.half_mask``). ``_python_loop`` alone keeps a per-run
+  memo from class to fate, so ``evaluate``, the bisection and the
+  dominance test run once per class between two inserts (the kernel
+  evaluates an offspring faster than a memo could be read). Only
+  ``Population.insert`` changes the values, and the memo is cleared
+  after each; an equal-value replacement changes the member's bits, not
+  the values or their order, so the memoised index stays right.
 * Only idle slot draws are counted. Every other iteration created one
   offspring, evaluated or not, so the evaluations after t iterations are
   t + 1 - idle and both runtimes match ``step``'s.
@@ -100,9 +101,13 @@ VARIANTS = {"original": Selection.UNIFORM_PARENT,
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
+    """How a run goes: a run is (benchmark, ``AlgorithmSpec``, seed)."""
+
     mutation: Mutation
     selection: Selection
-    max_iterations: Optional[int] = None  # None: benchmark default cutoff
+    max_iterations: Optional[int] = None  # None: the runner's default cap
+    interior_init: bool = False  # ojzj: the first member has k..n-k ones
+    slot_count_offset: int = 0  # fault hook of the negative controls only
 
     @property
     def algorithm_name(self) -> str:
@@ -331,29 +336,26 @@ class TrialResult:
 
 
 class RunState:
-    """Mutable per-run state, confined to a single thread: a kernel run
-    advances ``rng`` in place with the GIL released."""
+    """Mutable state of a run of ``alg`` on ``bspec``, confined to one
+    thread: a kernel run advances ``rng`` in place with the GIL released."""
 
     __slots__ = ("bspec", "alg", "kernels", "pop", "rng", "n", "t",
                  "evaluations", "flip_cdf", "slot_draw_count")
 
-    def __init__(self, bspec: BenchmarkSpec, alg: AlgorithmSpec, rng,
-                 slot_count_offset: int = 0, interior_init: bool = False):
+    def __init__(self, bspec: BenchmarkSpec, alg: AlgorithmSpec, rng):
         self.bspec = bspec
         self.alg = alg
         self.kernels = bspec.kernels()
         self.rng = rng
         self.n = bspec.n
         self.t = 0
-        # slot_count_offset is a fault-injection hook for the harness'
-        # negative control; leave at 0 for a faithful run.
-        self.slot_draw_count = self.kernels.slot_count + slot_count_offset
+        self.slot_draw_count = self.kernels.slot_count + alg.slot_count_offset
         if self.slot_draw_count < 1:
             raise ValueError("slot draw range must stay positive")
         self.flip_cdf = (_flip_count_cdf(self.n)
                          if alg.mutation is Mutation.STANDARD else None)
         bits = rng.getrandbits(self.n)
-        if interior_init:
+        if alg.interior_init:
             if bspec.kind is not Kind.OJZJ:
                 raise ValueError("interior initialization is ojzj-specific")
             lo, hi = bspec.k, self.n - bspec.k
@@ -373,13 +375,10 @@ class RunState:
         return self.pop.front_count == self.kernels.front_size
 
 
-def init_state(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int,
-               interior_init: bool = False,
-               slot_count_offset: int = 0) -> RunState:
+def init_state(bspec: BenchmarkSpec, alg: AlgorithmSpec,
+               seed: int) -> RunState:
     """Fresh run state: seeded generator plus one evaluated individual."""
-    return RunState(bspec, alg, random.Random(seed),
-                    slot_count_offset=slot_count_offset,
-                    interior_init=interior_init)
+    return RunState(bspec, alg, random.Random(seed))
 
 
 def step(state: RunState) -> RunState:
@@ -502,10 +501,8 @@ def _sample(changes: list[TrajectoryRecord], end: int, period: int,
 
 
 def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
-                    interior_init: bool = False,
                     record_trajectory: bool = True,
-                    sample_at: tuple[int, ...] = (),
-                    slot_count_offset: int = 0) -> TrialResult:
+                    sample_at: tuple[int, ...] = ()) -> TrialResult:
     """Run one trial until the population covers the Pareto front or the
     iteration cutoff is reached (a censored trial, flagged, not an error).
 
@@ -525,8 +522,7 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     inserts, the cover test and the change points itself, so the run is
     one foreign call with trajectories on or off.
     """
-    state = init_state(bspec, alg, seed, interior_init=interior_init,
-                       slot_count_offset=slot_count_offset)
+    state = init_state(bspec, alg, seed)
     max_iters = alg.cutoff(bspec)
     period = default_sample_period(bspec.n)
     # one record per change of the population's value set, t=0 first
@@ -555,7 +551,7 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
         final_pop_size=final.pop_size,
         final_covered=final.covered,
         final_front_covered=final.front_covered,
-        interior_init=interior_init,
+        interior_init=alg.interior_init,
         trajectory=(_sample(changes, t, period, sample_at)
                     if record_trajectory else _NO_TRAJECTORY),
     )
@@ -695,24 +691,21 @@ def _python_loop(state: RunState, max_iters: int,
 
 
 def run_offspring_budget(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int,
-                         offspring_target: int,
-                         max_iterations: Optional[int] = None,
-                         interior_init: bool = False,
-                         slot_count_offset: int = 0) -> RunState:
+                         offspring_target: int) -> RunState:
     """Run until exactly ``offspring_target`` offspring were created.
 
     Idle iterations do not count toward the target, so for the modified
     variants this runs a variable number of iterations; cover does not
     stop it. Used by the modified-vs-original equivalence harness. It runs
     ``_python_loop`` for both mutations and leaves the state that repeated
-    ``step`` calls leave.
+    ``step`` calls leave. ``alg.max_iterations`` caps the iterations
+    (None: 1000 per offspring and drawable slot); reaching it raises.
     """
     if offspring_target < 0:
         raise ValueError(f"offspring_target must be >= 0, got "
                          f"{offspring_target}")
-    state = init_state(bspec, alg, seed, interior_init=interior_init,
-                       slot_count_offset=slot_count_offset)
-    cap = max_iterations if max_iterations is not None else (
+    state = init_state(bspec, alg, seed)
+    cap = alg.max_iterations if alg.max_iterations is not None else (
         1000 * (offspring_target + 1) * state.slot_draw_count)
     state.t, idle = _python_loop(state, cap, None, offspring_target)
     state.evaluations = state.t + 1 - idle

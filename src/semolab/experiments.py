@@ -165,8 +165,9 @@ class ExperimentConfig:
         return BenchmarkSpec(Kind(self.benchmark), n, k)
 
     def algorithm_spec(self) -> AlgorithmSpec:
-        return AlgorithmSpec.from_names(self.algorithm, self.variant,
-                                        self.max_iterations)
+        return replace(AlgorithmSpec.from_names(
+            self.algorithm, self.variant, self.max_iterations),
+            interior_init=self.interior_init)
 
     def to_kv(self) -> dict[str, str]:
         """The text value of every key in ``CONFIG_KEYS``: n and k as
@@ -227,7 +228,6 @@ def _run_task(args) -> TrialResult:
     bspec = config.benchmark_spec(n, k)
     sample_at = tuple(cp.iterations(n, k) for cp in config.checkpoints)
     return run_until_cover(bspec, config.algorithm_spec(), seed,
-                           interior_init=config.interior_init,
                            record_trajectory=config.record_trajectories,
                            sample_at=sample_at)
 
@@ -450,13 +450,19 @@ def check_front_spread(results: Sequence[TrialResult],
 
     A trial passes when it first holds at least n/4 (cocz) resp. n/2
     (omm/ojzj) Pareto-optimal members within coefficient*n^2 iterations; a
-    cell passes when ``PASS_FREQUENCY`` of its trials do.
+    cell passes when ``PASS_FREQUENCY`` of its trials do. A cell whose
+    front holds fewer points than that (ojzj at large k) is an error.
     """
     _require_trajectories(results, "front_spread")
     cells = []
     for label, group in group_by_cell(results).items():
         n = group[0].n
         need = math.ceil(n / 4) if group[0].benchmark == "cocz" else math.ceil(n / 2)
+        front_size = BenchmarkSpec(Kind(group[0].benchmark), n,
+                                   group[0].k).front_size
+        if need > front_size:
+            raise ValueError(f"front_spread: {label} needs {need} members, "
+                             f"but its front has {front_size} points")
         budget = int(growth_law("n2", n, coefficient=coefficient))
         passes = 0
         for r in group:
@@ -633,25 +639,24 @@ def check_equivalence_modified_original(
     a two-sample chi-square test, which passes when its p-value exceeds
     ``EQUIVALENCE_P_THRESHOLD``. Filtering idle iterations away turns the
     slot-based process into the uniform one, so the histograms must agree;
-    ``slot_count_offset`` deliberately breaks the slot range for negative
-    controls. At zero steps both variants keep their initial states and
-    the test cannot fail, so at least one step and one trial are needed.
+    ``slot_count_offset`` breaks the modified variant's slot range for
+    negative controls. At zero steps both variants keep their initial
+    states and the test cannot fail, so it needs a step and a trial or more.
     """
     for name, value in (("offspring_steps", offspring_steps),
                         ("trials_per_variant", trials_per_variant)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     histograms: list[dict[tuple[int, int], int]] = []
-    for variant in ("modified", "original"):
-        alg = AlgorithmSpec.from_names(algorithm, variant)
-        offset = slot_count_offset if variant == "modified" else 0
+    for variant, offset in (("modified", slot_count_offset), ("original", 0)):
+        alg = replace(AlgorithmSpec.from_names(algorithm, variant),
+                      slot_count_offset=offset)
         hist: dict[tuple[int, int], int] = {}
         for trial in range(trials_per_variant):
             seed = trial_seed(master_seed, bspec.kind.value, bspec.n, bspec.k,
                               algorithm, f"equiv-{variant}", trial)
             try:
-                state = run_offspring_budget(bspec, alg, seed, offspring_steps,
-                                             slot_count_offset=offset)
+                state = run_offspring_budget(bspec, alg, seed, offspring_steps)
             except RuntimeError:
                 # a broken slot range can strand every member outside the
                 # draw range; count the stuck run as its own outcome state
@@ -697,7 +702,8 @@ def check_equivalence_modified_original(
     from scipy.stats import chi2
     p_value = float(chi2.sf(stat, dof))
     ok = p_value > cal.EQUIVALENCE_P_THRESHOLD
-    label = (f"{bspec.kind.value},n={bspec.n},{algorithm},"
+    k = f",k={bspec.k}" if bspec.k is not None else ""
+    label = (f"{bspec.kind.value},n={bspec.n}{k},{algorithm},"
              f"m={offspring_steps},offset={slot_count_offset}")
     cell = CellOutcome(label, int(ok), 1, 1.0,
                        detail=f"chi2={stat:.2f}, dof={dof}, p={p_value:.5g}")

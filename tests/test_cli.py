@@ -231,6 +231,17 @@ class TestReport:
         assert code == 2
         assert "resolved-config" in capsys.readouterr().err
 
+    def test_front_spread_beyond_the_front_diagnosed(self, tmp_path, capsys):
+        # ojzj n=16 k=6: the suite's 8 members exceed the 7-point front
+        out = tmp_path / "wide-gap"
+        assert run_cli("run", "--benchmark", "ojzj", "--n", "16", "--k", "6",
+                       "--variant", "modified", "--trials", "1",
+                       "--max-iters", "200", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("report", "--out", str(out),
+                       "--suite", "front-spread") == 2
+        assert "ojzj,n=16,k=6" in capsys.readouterr().err
+
     def test_missing_trials_file_diagnosed(self, tmp_path, capsys):
         out = self.make_run(tmp_path)
         os.remove(out / "trials.csv")

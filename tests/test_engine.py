@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,7 +324,8 @@ class TestMeasure:
         half = n // 2
         for alg in (AlgorithmSpec.semo(), AlgorithmSpec.gsemo(modified=True)):
             for seed in range(4):
-                state = init_state(spec, alg, seed, interior_init=interior)
+                state = init_state(spec, replace(alg, interior_init=interior),
+                                   seed)
                 for _ in range(400):
                     pop = state.pop
                     rec = measure(state)
@@ -381,22 +383,23 @@ class TestRunUntilCover:
 
     def test_semo_ojzj_interior_never_covers(self):
         spec = BenchmarkSpec(Kind.OJZJ, 12, 2)
-        alg = AlgorithmSpec.semo(max_iterations=30_000)
-        r = run_until_cover(spec, alg, seed=8, interior_init=True)
+        alg = replace(AlgorithmSpec.semo(max_iterations=30_000),
+                      interior_init=True)
+        r = run_until_cover(spec, alg, seed=8)
         assert r.censored
         assert r.final_covered == spec.front_size - 2
         assert r.runtime_iters == 30_000
 
     def test_gsemo_ojzj_covers(self):
         spec = BenchmarkSpec(Kind.OJZJ, 12, 2)
-        r = run_until_cover(spec, AlgorithmSpec.gsemo(), seed=8,
-                            interior_init=True)
+        r = run_until_cover(spec, replace(AlgorithmSpec.gsemo(),
+                                          interior_init=True), seed=8)
         assert not r.censored
 
     def test_interior_init_rejected_off_ojzj(self):
         with pytest.raises(ValueError):
-            run_until_cover(BenchmarkSpec(Kind.COCZ, 8), AlgorithmSpec.gsemo(),
-                            seed=0, interior_init=True)
+            run_until_cover(BenchmarkSpec(Kind.COCZ, 8), replace(
+                AlgorithmSpec.gsemo(), interior_init=True), seed=0)
 
     def test_trajectory_structure(self):
         spec = BenchmarkSpec(Kind.COCZ, 8)
@@ -478,13 +481,13 @@ class TestStepLoopEquivalence:
         for (cutoff, period, forced), alg_name, variant, interior in \
                 itertools.product(schedules, ("semo", "gsemo"),
                                   ("original", "modified"), starts):
-            alg = AlgorithmSpec.from_names(alg_name, variant, cutoff)
+            alg = replace(AlgorithmSpec.from_names(alg_name, variant, cutoff),
+                          interior_init=interior)
             monkeypatch.setattr(engine, "default_sample_period",
                                 lambda n: period)
             for seed in range(3):
-                res = run_until_cover(spec, alg, seed, sample_at=forced,
-                                      interior_init=interior)
-                state = init_state(spec, alg, seed, interior_init=interior)
+                res = run_until_cover(spec, alg, seed, sample_at=forced)
+                state = init_state(spec, alg, seed)
                 expected = [measure(state)]
                 while not state.is_covering and state.t < cutoff:
                     covered = state.pop.front_count
@@ -522,13 +525,13 @@ class TestStepLoopEquivalence:
         spec = BenchmarkSpec(kind, n, k)
         for cutoff, alg_name, variant in itertools.product(
                 (30, 300, 3000), ("semo", "gsemo"), ("original", "modified")):
-            alg = AlgorithmSpec.from_names(alg_name, variant, cutoff)
+            alg = replace(AlgorithmSpec.from_names(alg_name, variant, cutoff),
+                          interior_init=interior)
             for seed in range(3):
-                res = run_until_cover(spec, alg, seed, interior_init=interior,
-                                      record_trajectory=False)
+                res = run_until_cover(spec, alg, seed, record_trajectory=False)
                 loop = loops.pop()
                 loop.pop.check_invariants()
-                state = init_state(spec, alg, seed, interior_init=interior)
+                state = init_state(spec, alg, seed)
                 while not state.is_covering and state.t < cutoff:
                     step(state)
                 assert loop.t == state.t == res.runtime_iters
@@ -537,11 +540,11 @@ class TestStepLoopEquivalence:
 
     def test_loop_matches_step_censored_semo(self):
         spec = BenchmarkSpec(Kind.OJZJ, 10, 2)
-        alg = AlgorithmSpec.semo(max_iterations=800)
+        alg = replace(AlgorithmSpec.semo(max_iterations=800),
+                      interior_init=True)
         for seed in range(3):
-            res = run_until_cover(spec, alg, seed, interior_init=True,
-                                  record_trajectory=False)
-            state = init_state(spec, alg, seed, interior_init=True)
+            res = run_until_cover(spec, alg, seed, record_trajectory=False)
+            state = init_state(spec, alg, seed)
             while not state.is_covering and state.t < 800:
                 step(state)
             assert res.runtime_evals == state.evaluations
@@ -572,11 +575,12 @@ def test_run_until_cover_fingerprint():
             FINGERPRINT_CASES, ("semo", "gsemo"), ("original", "modified"),
             (False, True)):
         spec = BenchmarkSpec(kind, n, k)
-        alg = AlgorithmSpec.from_names(alg_name, variant, 5000)
+        alg = replace(AlgorithmSpec.from_names(alg_name, variant, 5000),
+                      interior_init=interior)
         for seed in range(3):
             results.append(run_until_cover(
-                spec, alg, seed, interior_init=interior,
-                record_trajectory=record, sample_at=(1, 2, 3, 50, 777)))
+                spec, alg, seed, record_trajectory=record,
+                sample_at=(1, 2, 3, 50, 777)))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == FINGERPRINT
 
 
@@ -710,12 +714,12 @@ class TestSampleSchedule:
         monkeypatch.setattr(engine, "_sample", sample)
         for (kind, n, k, interior), alg_name, variant in itertools.product(
                 FINGERPRINT_CASES, ("semo", "gsemo"), ("original", "modified")):
-            alg = AlgorithmSpec.from_names(alg_name, variant, 3000)
+            alg = replace(AlgorithmSpec.from_names(alg_name, variant, 3000),
+                          interior_init=interior)
             kernel = alg_name == "gsemo" and _loop.library() is not None
             for seed in range(2):
                 args = (BenchmarkSpec(kind, n, k), alg, seed)
-                kwargs = dict(interior_init=interior,
-                              record_trajectory=record, sample_at=(1, 50))
+                kwargs = dict(record_trajectory=record, sample_at=(1, 50))
                 inserts = python_loop_inserts(monkeypatch, *args, **kwargs)
                 counts.update(insert=0, measure=0)
                 changes.clear()
@@ -856,23 +860,22 @@ class TestTrajectory:
         # kernel's equals
         for (kind, n, k, interior), alg_name, variant in itertools.product(
                 FINGERPRINT_CASES, ("semo", "gsemo"), ("original", "modified")):
-            alg = AlgorithmSpec.from_names(alg_name, variant, 3000)
+            alg = replace(AlgorithmSpec.from_names(alg_name, variant, 3000),
+                          interior_init=interior)
             for seed in range(2):
                 args = (BenchmarkSpec(kind, n, k), alg, seed)
-                kwargs = dict(interior_init=interior, sample_at=(1, 50))
+                kwargs = dict(sample_at=(1, 50))
                 inserts = python_loop_inserts(monkeypatch, *args, **kwargs)
                 traj = run_until_cover(*args, **kwargs).trajectory
                 assert inserts > 1
                 assert len(traj.runs) <= inserts + 2 < len(traj)
 
 
-def stepped_budget(bspec, alg, seed, offspring_target, max_iterations=None,
-                   interior_init=False, slot_count_offset=0):
+def stepped_budget(bspec, alg, seed, offspring_target):
     """``run_offspring_budget`` as repeated ``step`` calls: the checks and
     the stop are tested before every iteration."""
-    state = init_state(bspec, alg, seed, interior_init=interior_init,
-                       slot_count_offset=slot_count_offset)
-    cap = max_iterations if max_iterations is not None else (
+    state = init_state(bspec, alg, seed)
+    cap = alg.max_iterations if alg.max_iterations is not None else (
         1000 * (offspring_target + 1) * state.slot_draw_count)
     slot_sel = alg.selection is Selection.SLOT_PARENT
     while state.evaluations - 1 < offspring_target:
@@ -887,11 +890,11 @@ def stepped_budget(bspec, alg, seed, offspring_target, max_iterations=None,
     return state
 
 
-def budget_outcome(run, *args, **kwargs):
+def budget_outcome(run, *args):
     """The counters, members and generator state a budget run leaves, or
     the message of the RuntimeError it raised."""
     try:
-        state = run(*args, **kwargs)
+        state = run(*args)
     except RuntimeError as exc:
         return str(exc)
     pop = state.pop
@@ -935,13 +938,14 @@ class TestProcessLaws:
         alg = AlgorithmSpec.gsemo(modified=True)
         assert init_state(spec, alg, 0).pop.slots == [1]
         with pytest.raises(RuntimeError, match="deadlocked"):
-            run_offspring_budget(spec, alg, 0, 10, slot_count_offset=-1)
+            run_offspring_budget(spec, replace(alg, slot_count_offset=-1),
+                                 0, 10)
 
     def test_run_offspring_budget_cap(self):
         spec = BenchmarkSpec(Kind.COCZ, 8)
         with pytest.raises(RuntimeError, match="within 10 iterations"):
-            run_offspring_budget(spec, AlgorithmSpec.gsemo(), 3, 25,
-                                 max_iterations=10)
+            run_offspring_budget(spec, AlgorithmSpec.gsemo(max_iterations=10),
+                                 3, 25)
 
     def test_run_offspring_budget_rejects_negative_target(self):
         with pytest.raises(ValueError, match="offspring_target"):
@@ -959,11 +963,11 @@ class TestProcessLaws:
         for alg_name, variant, seed, target, offset in itertools.product(
                 ("semo", "gsemo"), ("original", "modified"), range(3),
                 (1, 30, 300), (0, -1)):
-            alg = AlgorithmSpec.from_names(alg_name, variant)
+            alg = replace(AlgorithmSpec.from_names(alg_name, variant),
+                          interior_init=interior, slot_count_offset=offset)
             args = (spec, alg, seed, target)
-            kwargs = dict(interior_init=interior, slot_count_offset=offset)
-            assert (budget_outcome(run_offspring_budget, *args, **kwargs)
-                    == budget_outcome(stepped_budget, *args, **kwargs))
+            assert (budget_outcome(run_offspring_budget, *args)
+                    == budget_outcome(stepped_budget, *args))
 
     def test_run_offspring_budget_cap_matches_step(self):
         # the cap falls before, at and after the target, with and without
@@ -972,11 +976,9 @@ class TestProcessLaws:
                 (Kind.COCZ, Kind.OMM), ("semo", "gsemo"),
                 ("original", "modified"), range(2), (1, 30), (0, 1, 30, 45)):
             args = (BenchmarkSpec(kind, 8), AlgorithmSpec.from_names(
-                alg_name, variant), seed, target)
-            assert (budget_outcome(run_offspring_budget, *args,
-                                   max_iterations=cap)
-                    == budget_outcome(stepped_budget, *args,
-                                      max_iterations=cap))
+                alg_name, variant, cap), seed, target)
+            assert (budget_outcome(run_offspring_budget, *args)
+                    == budget_outcome(stepped_budget, *args))
 
 
 class TestAlgorithmSpec:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,11 @@ class TestRunGrid:
         config = ExperimentConfig("ojzj", "semo", "original", (10,), 2, 1,
                                   ks=(2,), interior_init=True,
                                   max_iterations=500)
+        alg = config.algorithm_spec()
+        assert alg.interior_init and alg.max_iterations == 500
+        assert alg.slot_count_offset == 0
+        assert not replace(config, interior_init=False
+                           ).algorithm_spec().interior_init
         results = run_grid(config)
         assert all(r.interior_init for r in results)
         assert all(r.censored for r in results)
@@ -434,6 +440,23 @@ class TestFrontSpread:
         with pytest.raises(ValueError, match="trajectory"):
             check_front_spread([bare], spread_config())
 
+    def test_need_beyond_the_front_is_config_error(self):
+        # ojzj n=16 asks for ceil(n/2) = 8 members, but at k=6 the front
+        # has n - 2k + 3 = 7 points, so no run could pass
+        assert BenchmarkSpec(Kind.OJZJ, 16, 6).front_size == 7
+        trajectory = [record(0, covered=1), record(40, covered=8)]
+        wide = synthetic(benchmark="ojzj", n=16, k=6, variant="modified",
+                         trajectory=trajectory)
+        with pytest.raises(ValueError, match=(
+                "ojzj,n=16,k=6,gsemo,modified needs 8 members, "
+                "but its front has 7 points")):
+            check_front_spread([wide], spread_config(benchmark="ojzj",
+                                                     ks=(6,)))
+        # k=2 leaves 15 points, and the same trial passes
+        narrow = replace(wide, k=2)
+        assert check_front_spread([narrow], spread_config(
+            benchmark="ojzj", ks=(2,)), coefficient=1.0).verdict == "PASS"
+
 
 class TestBorderDistance:
     def test_min_over_sampled_prefix(self):
@@ -545,10 +568,21 @@ class TestEquivalence:
         report = check_equivalence_modified_original(
             spec, offspring_steps=12, trials_per_variant=1500, master_seed=3)
         assert report.verdict == "PASS"
+        assert report.cells[0].cell == "cocz,n=6,gsemo,m=12,offset=0"
         broken = check_equivalence_modified_original(
             spec, offspring_steps=12, trials_per_variant=1500, master_seed=3,
             slot_count_offset=-1)
         assert broken.verdict == "FAIL"
+        assert broken.cells[0].cell == "cocz,n=6,gsemo,m=12,offset=-1"
+
+    def test_ojzj_cell_names_k(self):
+        # two gap sizes at one n are two cells, named as _cell_label names
+        # them
+        for k in (2, 3):
+            report = check_equivalence_modified_original(
+                BenchmarkSpec(Kind.OJZJ, 8, k), offspring_steps=12,
+                trials_per_variant=300, master_seed=0)
+            assert report.cells[0].cell == f"ojzj,n=8,k={k},gsemo,m=12,offset=0"
 
     @pytest.mark.parametrize("steps,trials,name", [
         (0, 800, "offspring_steps"), (-3, 800, "offspring_steps"),

@@ -13,6 +13,7 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -103,13 +104,12 @@ def test_kernel_matches_python_loop(monkeypatch, kernel, n):
     for (spec, interior), (variant, offset), cutoff, record, seed in \
             itertools.product(specs(n), SELECTIONS, CUTOFFS, (False, True),
                               range(2)):
-        alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+        alg = replace(AlgorithmSpec.from_names("gsemo", variant, cutoff),
+                      interior_init=interior, slot_count_offset=offset)
         args = (spec, alg, seed)
-        kwargs = dict(interior_init=interior, record_trajectory=record,
-                      slot_count_offset=offset)
-        assert outcome(monkeypatch, True, *args, **kwargs) == \
-            outcome(monkeypatch, False, *args, **kwargs), (
-                spec, alg, seed, kwargs)
+        assert outcome(monkeypatch, True, *args, record_trajectory=record) \
+            == outcome(monkeypatch, False, *args, record_trajectory=record), (
+                spec, alg, seed, record)
 
 
 @needs_compiler
@@ -141,11 +141,11 @@ def test_run_starts_anywhere_in_the_block(monkeypatch, kernel, mti):
     # slot draw comes first and 622 does the same
     for (spec, interior), variant, cutoff in itertools.product(
             specs(33) + specs(64), ("original", "modified"), (1, 5, 3000)):
-        alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+        alg = replace(AlgorithmSpec.from_names("gsemo", variant, cutoff),
+                      interior_init=interior)
         args = (spec, alg, 3, at_index(mti))
-        compiled = outcome(monkeypatch, True, *args, interior_init=interior)
-        assert compiled == outcome(monkeypatch, False, *args,
-                                   interior_init=interior), (spec, alg)
+        compiled = outcome(monkeypatch, True, *args)
+        assert compiled == outcome(monkeypatch, False, *args), (spec, alg)
 
 
 @needs_compiler
@@ -201,13 +201,14 @@ def test_subclass_of_random_matches_python_loop(monkeypatch, kernel):
     made = []
     for (spec, interior), variant, record in itertools.product(
             specs(8) + specs(33), ("original", "modified"), (False, True)):
-        alg = AlgorithmSpec.from_names("gsemo", variant, 3000)
+        alg = replace(AlgorithmSpec.from_names("gsemo", variant, 3000),
+                      interior_init=interior)
         args = (spec, alg, 6, as_subclass(made))
-        kwargs = dict(interior_init=interior, record_trajectory=record)
-        assert outcome(monkeypatch, True, *args, **kwargs) == \
-            outcome(monkeypatch, False, *args, **kwargs), (spec, alg, kwargs)
+        assert outcome(monkeypatch, True, *args, record_trajectory=record) \
+            == outcome(monkeypatch, False, *args, record_trajectory=record), (
+                spec, alg, record)
         compiled, python = made[-2:]
-        assert compiled.calls == 0 < python.calls, (spec, alg, kwargs)
+        assert compiled.calls == 0 < python.calls, (spec, alg, record)
 
 
 @needs_compiler
@@ -318,22 +319,22 @@ def test_full_buffers_are_drained(monkeypatch, kernel, points):
     for (spec, interior), (variant, offset), cutoff, seed in \
             itertools.product(specs(8) + specs(12), SELECTIONS, (37, 3000),
                               range(2)):
-        alg = AlgorithmSpec.from_names("gsemo", variant, cutoff)
+        alg = replace(AlgorithmSpec.from_names("gsemo", variant, cutoff),
+                      interior_init=interior, slot_count_offset=offset)
         args = (spec, alg, seed)
-        kwargs = dict(interior_init=interior, slot_count_offset=offset)
         with monkeypatch.context() as m:
             calls = count_calls(m, kernel)
             m.setattr(engine, "_sample", sample)
-            compiled = outcome(m, True, *args, **kwargs)
-        assert compiled == outcome(monkeypatch, False, *args, **kwargs), (
-            spec, alg, seed, kwargs)
+            compiled = outcome(m, True, *args)
+        assert compiled == outcome(monkeypatch, False, *args), (
+            spec, alg, seed)
         # the change points but the one at t=0
         written = lengths.pop() - 1
         full = written > 0 and written % points == 0
         covered = not compiled[0].censored
         filled_at_cover += covered and full
         assert calls[0] == written // points + 1 - (covered and full), (
-            spec, alg, seed, kwargs)
+            spec, alg, seed)
     assert filled_at_cover
 
 
