@@ -10,11 +10,12 @@ every later process loads the cached file. It is written under a
 temporary name and renamed into place, so processes that build it at the
 same time do not see each other's partial output; a successful build then
 removes the libraries of other sources and flags. The kernel counts no
-bits, so one portable build runs on every CPU. When the library cannot be
-built or loaded, its ``struct loop`` does not have the size of ``Loop``,
-or ``check_layout`` finds no CPython ``RandomObject`` (any other
-interpreter), ``library()`` warns and returns None, and the engine runs
-its Python loop, which gives the same results.
+bits, and the dynamic loader picks the clone of its twist for the CPU
+(see ``_loop.c``), so one portable build runs on every CPU. When the
+library cannot be built or loaded, its ``struct loop`` does not have the
+size of ``Loop``, or ``check_layout`` finds no CPython ``RandomObject``
+(any other interpreter), ``library()`` warns and returns None, and the
+engine runs its Python loop, which gives the same results.
 
 ``run`` drives the kernel for one run, and the kernel applies every
 population update itself. It twists the run's ``random.Random`` in place,
@@ -37,7 +38,8 @@ import os
 import random
 import sys
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
+from operator import truediv
 
 from . import engine
 
@@ -222,6 +224,10 @@ def run(lib, state, max_iters: int,
     every insert, the fields of ``engine.measure``, and ``run`` appends
     them to it as records, as ``_python_loop`` appends ``measure(state)``.
     A full buffer (return code 2) is appended and the kernel called again.
+    The records are built column by column from the buffer's ``tolist()``:
+    a slice per field, the covered fraction by ``map``, and a constant
+    None column for ``max_g1`` and ``z_count`` off cocz, zipped into
+    records, so no Python statement runs per change point.
     """
     if not isinstance(state.rng, random.Random):  # no RandomObject to write
         raise TypeError(f"not a random.Random: {type(state.rng).__name__}")
@@ -268,14 +274,18 @@ def run(lib, state, max_iters: int,
         code = 2
         while code == 2:
             code = lib.loop_run(ref)
-            # six words per point: t, size, max_g1, z_count (both -1 for
-            # None), d_pf, covered
-            flat = iter(words64[:6 * r.npoints].tolist())
+            # six words per point: t, size, max_g1, z_count, d_pf, covered;
+            # max_g1 and z_count (written as -1) are None but on cocz
+            flat = words64[:6 * r.npoints].tolist()
             r.npoints = 0
-            changes.extend(
-                new(record, (t, size, None if g1 < 0 else g1,
-                             None if z < 0 else z, d, c, c / front_size))
-                for t, size, g1, z, d, c in zip(*[flat] * 6))
+            covered = flat[5::6]
+            if classes is None:
+                g1s, zs = flat[2::6], flat[3::6]
+            else:
+                g1s = zs = repeat(None)
+            changes.extend(map(new, repeat(record), zip(
+                flat[0::6], flat[1::6], g1s, zs, flat[4::6], covered,
+                map(truediv, covered, repeat(front_size)))))
     m = r.m
     raw = bytes(bits)
     from_bytes = int.from_bytes

@@ -74,7 +74,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple, Optional
 
 from . import calibration as cal
@@ -261,7 +261,7 @@ class Trajectory:
 
     def __init__(self, runs=()):
         self.runs = tuple(runs)
-        self._len = sum(len(ts) for _, ts in self.runs)
+        self._len = sum(map(len, map(itemgetter(1), self.runs)))
 
     @classmethod
     def of(cls, records) -> "Trajectory":
@@ -460,44 +460,50 @@ def _sample(changes: list[TrajectoryRecord], end: int, period: int,
     The work is done once per change point: each change point with a due
     point gives one run of the trajectory, its record and the due points
     before the next change point, merged into the run before it when
-    their fields are equal. No record is built per tick.
+    their fields are equal. No record is built per tick, and the ticks of
+    a segment are ranges over the period grid, cut only at the due points
+    off it.
     """
-    # the due points that are neither period ticks nor covered changes,
-    # ascending, then a stop past end
-    due = sorted({end, *(s for s in map(int, sample_at) if 0 < s <= end)})
+    # the due points off the period grid (sample_at and end), ascending,
+    # then a stop past end; every period tick is due anyway
+    due = sorted({s for s in (end, *map(int, sample_at))
+                  if 0 < s <= end and s % period})
     due.append(end + 1)
     i = 0
-    runs: list[tuple[TrajectoryRecord, list[int]]] = []
+    d = due[0]  # the next of them, at or after t
+    recs: list[TrajectoryRecord] = []
+    runs: list[list[int]] = []
     fields = None
     ts: list[int] = []
-    covered = changes[0].covered
-    stops = [c.t for c in changes[1:]]
-    stops.append(end + 1)
-    for rec, stop in zip(changes, stops):
-        t = rec[0]
-        if due[i] == t:
-            i += 1
-            at_change = True
+    covered = changes[0][5]
+    times = [*map(itemgetter(0), changes), end + 1]
+    for rec, t, stop in zip(changes, times, times[1:]):
+        tick = t + -t % period  # the first period tick at or after t
+        if rec[5] != covered or d == t:  # t is due
+            covered = rec[5]
+            lone = tick != t  # and the range below does not hold it
+        elif tick < stop or d < stop:
+            lone = False
         else:
-            at_change = not t % period or rec.covered != covered
-        covered = rec.covered
-        ticks = range(t - t % period + period, stop, period)
-        if due[i] < stop:
-            extra = []
-            while due[i] < stop:
-                extra.append(due[i])
-                i += 1
-            ticks = sorted({*ticks, *extra})
-        if not (at_change or ticks):
-            continue
+            continue  # nothing is due before the next change point
         if rec[1:] != fields:
             fields = rec[1:]
             ts = []
-            runs.append((rec, ts))
-        if at_change:
+            recs.append(rec)
+            runs.append(ts)
+        if lone:
             ts.append(t)
-        ts.extend(ticks)
-    return Trajectory((rec, tuple(ts)) for rec, ts in runs)
+        if d == t:
+            i += 1
+            d = due[i]
+        while d < stop:
+            ts.extend(range(tick, d, period))
+            ts.append(d)
+            tick = d - d % period + period
+            i += 1
+            d = due[i]
+        ts.extend(range(tick, stop, period))
+    return Trajectory(zip(recs, map(tuple, runs)))
 
 
 def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,

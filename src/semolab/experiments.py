@@ -752,6 +752,9 @@ TRIALS_COLUMNS = ("benchmark", "n", "k", "algorithm", "variant", "seed",
                   "runtime_evals", "runtime_iters", "censored")
 TRAJECTORY_COLUMNS = ("trial_id", "t", "pop_size", "max_g1", "z_count",
                       "d_pf", "front_covered")
+# the most trajectory rows written at once; at the peak of a write a row
+# holds about 130 bytes (tracemalloc), so about 9 MB in all
+WRITE_TICKS = 1 << 16
 REPORT_COLUMNS = ("suite", "cell", "passes", "trials", "frequency",
                   "required", "verdict", "detail")
 
@@ -780,20 +783,31 @@ def write_trajectories_csv(results: Sequence[TrialResult], path) -> None:
     because a run can hold hundreds of thousands of records.
 
     The work is done once per run of the trajectory: its text after ``t``
-    is formatted once, and its rows are one join over its ticks.
+    is formatted once, and its rows are one join over its ticks. A trial
+    is written in pieces of at most ``WRITE_TICKS`` rows, so the text held
+    at once stays bounded however long the trial ran; a shorter trial is
+    one write.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for r in results:
             prefix = trial_id(r) + ","
             rows: list[str] = []
-            append = rows.append
+            held = 0  # the ticks in rows
             for rec, ts in r.trajectory.runs:
                 _, pop_size, max_g1, z_count, d_pf, _, front_covered = rec
                 text = (f",{pop_size},{'' if max_g1 is None else max_g1},"
                         f"{'' if z_count is None else z_count},"
                         f"{d_pf},{front_covered!r}\r\n")
-                append(prefix + (text + prefix).join(map(str, ts)) + text)
+                join = (text + prefix).join
+                for lo in range(0, len(ts), WRITE_TICKS):
+                    part = ts[lo:lo + WRITE_TICKS]
+                    if held + len(part) > WRITE_TICKS:
+                        fh.write("".join(rows))
+                        rows.clear()
+                        held = 0
+                    rows.append(prefix + join(map(str, part)) + text)
+                    held += len(part)
             fh.write("".join(rows))
 
 

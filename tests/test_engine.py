@@ -612,10 +612,11 @@ def replay_schedule(changes, end, period, sample_at, max_iters):
 
 
 def random_schedules():
-    """300 random (change points, end, period, sample_at, max_iters), the
-    draws of ``TestSampleSchedule.test_matches_replay_random``."""
+    """600 random (change points, end, period, sample_at, max_iters). The
+    last 300 have sample_at on a change point, on a period tick, off the
+    period grid and at end, where the run has such points."""
     rng = random.Random(7)
-    for _ in range(300):
+    for j in range(600):
         max_iters = rng.randrange(0, 60)
         end = rng.randrange(0, max_iters + 1)
         ts = sorted(rng.sample(range(1, end + 1), rng.randrange(0, end + 1))
@@ -627,9 +628,29 @@ def random_schedules():
             points.append((t, covered))
         changes = change_points(*points)
         period = rng.randrange(1, 15)
-        sample_at = tuple(rng.randrange(0, 70)
-                          for _ in range(rng.randrange(0, 4)))
+        if j < 300:
+            sample_at = tuple(rng.randrange(0, 70)
+                              for _ in range(rng.randrange(0, 4)))
+        else:
+            places = (ts, range(period, end + 1, period),
+                      [t for t in range(1, end + 1) if t % period], [end])
+            sample_at = tuple(rng.choice(p) for p in places if p)
         yield changes, end, period, sample_at, max_iters
+
+
+def assert_runs_well_formed(traj, changes):
+    """The runs' ticks ascend and no tick falls in two runs, neighbouring
+    runs differ in their fields, and a run whose first tick is a change
+    point stores that change point."""
+    ticks = [t for _, ts in traj.runs for t in ts]
+    assert all(ts for _, ts in traj.runs)
+    assert ticks == sorted(set(ticks))
+    for (a, _), (b, _) in zip(traj.runs, traj.runs[1:]):
+        assert a[1:] != b[1:]
+    at = {c.t: c for c in changes}
+    for rec, ts in traj.runs:
+        if ts[0] in at:
+            assert rec is at[ts[0]]
 
 
 class TestSampleSchedule:
@@ -661,25 +682,14 @@ class TestSampleSchedule:
         for rec in got:  # a record at a change point is that change point
             if any(c.t == rec.t for c in changes):
                 assert any(rec is c for c in changes)
+        assert_runs_well_formed(got, changes)
 
     def test_matches_replay_random(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            max_iters = rng.randrange(0, 60)
-            end = rng.randrange(0, max_iters + 1)
-            ts = sorted(rng.sample(range(1, end + 1), rng.randrange(0, end + 1))
-                        if end else [])
-            covered = 1
-            points = [(0, covered)]
-            for t in ts:
-                covered += rng.random() < 0.4
-                points.append((t, covered))
-            changes = change_points(*points)
-            period = rng.randrange(1, 15)
-            sample_at = tuple(rng.randrange(0, 70)
-                              for _ in range(rng.randrange(0, 4)))
-            assert engine._sample(changes, end, period, sample_at) == \
-                replay_schedule(changes, end, period, sample_at, max_iters)
+        for changes, end, period, sample_at, max_iters in random_schedules():
+            got = engine._sample(changes, end, period, sample_at)
+            assert got == replay_schedule(changes, end, period, sample_at,
+                                          max_iters)
+            assert_runs_well_formed(got, changes)
 
     @pytest.mark.parametrize("record", [True, False])
     def test_measure_once_per_insert(self, monkeypatch, record):

@@ -2,17 +2,19 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semolab import _loop, engine
+from semolab import _loop, engine, experiments
 from semolab import calibration as cal
 from semolab.benchmarks import BenchmarkSpec, Kind
 from semolab.engine import TrajectoryRecord, TrialResult
-from semolab.experiments import (CONFIG_KEYS, Checkpoint, ExperimentConfig,
+from semolab.experiments import (CONFIG_KEYS, WRITE_TICKS, Checkpoint,
+                                 ExperimentConfig,
                                  check_border_distance,
                                  check_equivalence_modified_original,
                                  check_front_spread,
@@ -695,6 +697,45 @@ class TestCsvPipeline:
         # the same bytes from the engine's Python loop
         monkeypatch.setattr(_loop, "library", lambda: None)
         self.test_trajectory_csv_fingerprint(tmp_path)
+
+    def test_long_trial_is_written_in_bounded_pieces(self, tmp_path):
+        # 10^6 ticks: one run longer than a piece, then 4,000 short runs.
+        # Joined whole, the trial's text peaks at about 129 MB; in pieces
+        # of WRITE_TICKS rows, at about 9 MB
+        runs = [(record(0, covered=1, d_pf=4), tuple(range(600_000)))]
+        runs += [(record(t, covered=2, d_pf=3, pop_size=2 + t // 100 % 2),
+                  tuple(range(t, t + 100)))
+                 for t in range(600_000, 10 ** 6, 100)]
+        trial = replace(synthetic("omm", 9, runtime=10 ** 6 - 1),
+                        trajectory=engine.Trajectory(runs))
+        assert len(trial.trajectory) == 10 ** 6 > 4 * WRITE_TICKS
+        path = tmp_path / "trajectories.csv"
+        tracemalloc.start()
+        try:
+            write_trajectories_csv([trial], path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        assert len(lines) == 10 ** 6 + 1
+        prefix = b"omm-n9-gsemo-original-s0,"
+        assert lines[1] == prefix + b"0,1,,,4,%r\r\n" % (1 / 17)
+        assert lines[-1] == prefix + b"999999,3,,,3,%r\r\n" % (2 / 17)
+
+    def test_pieces_do_not_change_the_bytes(self, tmp_path, monkeypatch):
+        # a piece size of one, two and three rows splits every run and
+        # joins runs into pieces, and writes the bytes of one piece
+        results = run_grid(ExperimentConfig("cocz", "gsemo", "modified",
+                                            (8, 10), 3, 2))
+        path = tmp_path / "trajectories.csv"
+        write_trajectories_csv(results, path)
+        whole = path.read_bytes()
+        for size in (1, 2, 3):
+            monkeypatch.setattr(experiments, "WRITE_TICKS", size)
+            write_trajectories_csv(results, path)
+            assert path.read_bytes() == whole
 
     def test_loaded_trials_equal_the_run(self, tmp_path):
         # the final fields come from the last record, the one at
