@@ -1,17 +1,20 @@
 /* The standard-bit-mutation run loop of semolab.engine.run_until_cover,
    population update and change points included.
 
-   loop_start() prepares a struct whose generator state and members Python
-   has filled in. loop_run() then runs iterations from t + 1 and applies
-   Population.insert's update itself: an offspring that changes the
-   population's value set replaces the members it weakly dominates, at
-   the place that first_at[] and a binary search over f2s[] give, with the
-   slot and front flag of its value class (class_of()). With `points` set
-   it also writes the change point after every insert into points[]
-   (record()), so that a run with trajectories is one call as well.
-   loop_run() returns 1 when the population covers the front, 0 when t
-   reaches the cutoff, and 2 when points[] is full, which Python drains
-   before it calls again; a full buffer at the covering insert returns 1.
+   Python allocates the struct and its arrays as one block, the arrays
+   after the struct (loop_carve()), and fills in the generator pointers
+   and the members. loop_run() points the array fields at the arrays,
+   tempers the generator's block and indexes the members, then runs
+   iterations from t + 1 and applies Population.insert's update itself:
+   an offspring that changes the population's value set replaces the
+   members it weakly dominates, at the place that first_at[] and a binary
+   search over f2s[] give, with the slot and front flag of its value
+   class (class_of()). With `points` set it also writes the change point
+   after every insert into points[] (record()), so that a run with
+   trajectories is one call as well. loop_run() returns 1 when the
+   population covers the front, 0 when t reaches the cutoff, and 2 when
+   points[] is full, which Python drains before it calls again; a full
+   buffer at the covering insert returns 1.
 
    An offspring's class needs its ones count and, on cocz, its first-half
    count g1. Both start from the parent's class (the slot is the ones count
@@ -34,9 +37,10 @@
    mt and index point into the generator object, at the state[] and index
    of CPython's RandomObject (the loader checks that layout): untempered
    words and the position of the next one. out[j] is the tempered mt[j],
-   so the next output is out[*index]. loop_start() tempers out[]; only
-   twist() changes mt[] after that, in place, tempering each word into
-   out[] in the same pass, and run() writes back its copy of *index.
+   so the next output is out[*index]. loop_run() tempers out[] when it is
+   called; only twist() changes mt[] after that, in place, tempering each
+   word into out[] in the same pass, and run() writes back its copy of
+   *index.
 
    twisted() adds the matrix constant 0x9908b0df when the low bit of y is
    set as -(y & 1) & 0x9908b0df: the negated bit is all ones or zero, so
@@ -65,23 +69,26 @@ struct loop {
     int32_t words;           /* 64-bit words per string */
     int32_t half;            /* n/2 on cocz, unused otherwise */
     int32_t slot_draw;       /* slot selection over [0, slot_draw); 0: uniform */
-    int32_t m;               /* population size */
+    int32_t m;               /* population size ... */
+    int32_t slot_count;      /* ... and its bound */
     int32_t front_count;     /* members with a Pareto-optimal value ... */
     int32_t front_size;      /* ... and the count at which they cover the front */
     int32_t span;            /* slot span, for the border distance */
     int32_t npoints, cap;    /* change points in points[], and its room */
     int64_t t, cutoff, idle; /* iteration counter, its cutoff, idle draws */
-    int64_t *points;         /* 6 words per change point, or NULL: none kept */
     const uint64_t *thresholds; /* n + 1 flip-count thresholds: k flips
                                    iff x <= thresholds[k] for the least k */
     const int32_t *classes;  /* (f1, f2, slot, front) by ones count, or NULL
                                 on cocz */
+    /* the arrays after the struct, which loop_carve() points these at */
+    int64_t *points;         /* 6 words per change point, or NULL (cap 0):
+                                none kept */
     uint64_t *xs;            /* member bits, `words` per member, f1 order */
+    uint64_t *child;         /* the offspring */
     int32_t *f1s, *f2s, *slots;
     int32_t *at_slot;        /* slot -> member index or -1, slot_draw of them */
     int32_t *first_at;       /* f1 -> index of the first member with f1s >= f1,
                                 for f1 in [0, 2n] */
-    uint64_t *child;         /* the offspring */
     uint32_t out[MT_N];      /* tempered outputs of mt[] */
 };
 
@@ -214,13 +221,29 @@ static void reindex(struct loop *r)
     }
 }
 
-/* Temper out[] from the generator's words and index the members. */
-void loop_start(struct loop *r)
+/* Point the array fields at the arrays that follow the struct, in this
+   order: points[6 * cap], xs[words * slot_count], child[words], then
+   f1s, f2s and slots of slot_count each, at_slot[slot_draw] and
+   first_at[2n + 1]. The 64-bit arrays come first, so no padding falls
+   between two of them. Returns the size of the whole block, which the
+   loader checks against its own layout. */
+long long loop_carve(struct loop *r)
 {
-    int j;
-    for (j = 0; j < MT_N; j++)
-        r->out[j] = temper(r->mt[j]);
-    reindex(r);
+    uint64_t *u = (uint64_t *)(r + 1);
+    int32_t *i;
+    r->points = r->cap ? (int64_t *)u : NULL;
+    u += 6 * (size_t)r->cap;
+    r->xs = u;
+    u += (size_t)r->words * r->slot_count;
+    r->child = u;
+    i = (int32_t *)(u + r->words);
+    r->f1s = i;
+    r->f2s = i += r->slot_count;
+    r->slots = i += r->slot_count;
+    r->at_slot = i += r->slot_count;
+    r->first_at = i += r->slot_draw;
+    i += 2 * r->n + 1;
+    return (long long)((char *)i - (char *)r);
 }
 
 /* Population.insert for an offspring of class c that no member weakly
@@ -389,10 +412,17 @@ INLINE int run(struct loop *r, int words)
     return found;
 }
 
-/* run() with the width of r's strings fixed where it is one or two
-   words */
+/* Carve r's arrays, temper out[] from the generator's words and index
+   the members, then run() with the width of r's strings fixed where it
+   is one or two words. The first three steps read only r, so a call
+   after a drain (return code 2) repeats them to the same effect. */
 int loop_run(struct loop *r)
 {
+    int j;
+    loop_carve(r);
+    for (j = 0; j < MT_N; j++)
+        r->out[j] = temper(r->mt[j]);
+    reindex(r);
     switch (r->words) {
     case 1:
         return run(r, 1);

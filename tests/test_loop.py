@@ -338,6 +338,126 @@ def test_full_buffers_are_drained(monkeypatch, kernel, points):
     assert filled_at_cover
 
 
+def full_population(state):
+    """A rig that puts a member in every slot: on cocz the strings with no
+    ones in the first half, one per second-half count; on omm one string
+    per ones count, which is the whole front."""
+    kern = state.kernels
+    pop = Population(kern.slot_count, kern.slot_from_pair,
+                     kern.is_front_pair)
+    shift = state.n // 2 if state.bspec.kind is Kind.COCZ else 0
+    for j in range(kern.slot_count):
+        bits = ((1 << j) - 1) << shift
+        pop.insert(bits, *kern.evaluate(bits))
+    assert len(pop) == kern.slot_count
+    state.pop = pop
+
+
+@needs_compiler
+@pytest.mark.parametrize("n", [8, 66, 130])
+def test_full_population_on_entry(monkeypatch, kernel, n):
+    # a run from init_state starts with one member; here every slot is
+    # taken, so all members cross into the kernel's arrays and back, at
+    # each string width, with no iteration at all (cutoff 0) and with
+    # trajectories on and off. The omm population covers the front on
+    # entry and runs to the cutoff; the cocz one is replaced insert by
+    # insert
+    for spec, (variant, offset), cutoff, record in itertools.product(
+            (BenchmarkSpec(Kind.COCZ, n), BenchmarkSpec(Kind.OMM, n)),
+            SELECTIONS, CUTOFFS, (False, True)):
+        alg = replace(AlgorithmSpec.from_names("gsemo", variant, cutoff),
+                      slot_count_offset=offset)
+        args = (spec, alg, 5, full_population)
+        assert outcome(monkeypatch, True, *args, record_trajectory=record) \
+            == outcome(monkeypatch, False, *args, record_trajectory=record), (
+                spec, alg, record)
+
+
+@needs_compiler
+def test_buffer_that_fills_at_the_cover(monkeypatch, kernel):
+    # the buffer has room for exactly the change points a run writes, so
+    # its covering insert fills it in the first call: the kernel returns 1,
+    # not 2, and the one drain takes the whole buffer
+    lengths = []
+    real_sample = engine._sample
+
+    def sample(changes, *args):
+        lengths.append(len(changes))
+        return real_sample(changes, *args)
+
+    for spec, variant, rig in itertools.product(
+            (BenchmarkSpec(Kind.COCZ, 8), BenchmarkSpec(Kind.COCZ, 66),
+             BenchmarkSpec(Kind.OMM, 9), BenchmarkSpec(Kind.OJZJ, 10, 2)),
+            ("original", "modified"), (None, full_population)):
+        if rig is not None and spec.kind is not Kind.COCZ:
+            continue  # the omm population covers on entry; ojzj has none
+        args = (spec, AlgorithmSpec.from_names("gsemo", variant), 1, rig)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_sample", sample)
+            python = outcome(m, False, *args)
+        assert not python[0].censored
+        # the change points but the one at t=0
+        monkeypatch.setattr(_loop, "POINTS", lengths.pop() - 1)
+        codes = []
+        real_run = kernel.loop_run
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "loop_run",
+                      lambda ref: codes.append(real_run(ref)) or codes[-1])
+            compiled = outcome(m, True, *args)
+        assert compiled == python, (spec, variant, rig)
+        assert codes == [1], (spec, variant, rig)
+
+
+@needs_compiler
+def test_threads_share_an_instance(monkeypatch, kernel):
+    # loop_run releases the GIL, and each run allocates its own block, so
+    # runs of one benchmark instance in four threads at once (more than
+    # the cores of a small machine) give the sequential results, final
+    # members and generator states. A buffer of 5 change points makes the
+    # runs return to Python and re-enter the kernel many times while the
+    # others run, and the block types are built while the threads race
+    import threading
+    monkeypatch.setattr(_loop, "POINTS", 5)
+    spec = BenchmarkSpec(Kind.COCZ, 66)
+    jobs = [(AlgorithmSpec.from_names("gsemo", variant), seed, record)
+            for variant, record in (("modified", True), ("original", False),
+                                    ("original", True))
+            for seed in range(8)]
+    states = {}
+    real = engine.init_state
+
+    def capture(bspec, alg, seed):
+        state = real(bspec, alg, seed)
+        states[threading.get_ident()] = state
+        return state
+
+    monkeypatch.setattr(engine, "init_state", capture)
+
+    def one(alg, seed, record):
+        result = run_until_cover(spec, alg, seed, record_trajectory=record)
+        state = states.pop(threading.get_ident())
+        pop = state.pop
+        return (result, pop.xs, pop.f1s, pop.f2s, pop.slots, pop._by_slot,
+                pop.front_count, state.rng.getstate())
+
+    _loop.layout.cache_clear()
+    sequential = [one(*job) for job in jobs]
+    _loop.layout.cache_clear()
+    threaded = [None] * len(jobs)
+
+    def work(first):
+        for i in range(first, len(jobs), 4):
+            threaded[i] = one(*jobs[i])
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "a run did not finish in 120 s"
+    assert threaded == sequential
+
+
 @needs_compiler
 def test_struct_layout_matches(kernel, tmp_path):
     # a field order or type that differs between struct loop and Loop
@@ -366,6 +486,34 @@ def test_struct_layout_matches(kernel, tmp_path):
     got = list(zip(names, map(int, out[::2]), map(int, out[1::2])))
     assert got == [(name, getattr(_loop.Loop, name).offset,
                     getattr(_loop.Loop, name).size) for name in names]
+
+
+@needs_compiler
+def test_block_layout_is_checked(kernel):
+    # a run's arrays follow its struct in one block, which the kernel
+    # carves by its own arithmetic; layout() compares every pointer and
+    # the end with the ctypes fields. A kernel that put first_at one int
+    # further on, or that ended elsewhere, is refused
+    class Shifted:
+        def __init__(self, pointer, end):
+            self.pointer, self.end = pointer, end
+
+        def loop_carve(self, ref):
+            end = kernel.loop_carve(ref)
+            probe = ref._obj
+            probe.first_at = ctypes.cast(
+                ctypes.addressof(probe) + type(probe).first_at_.offset
+                + self.pointer, ctypes.POINTER(ctypes.c_int32))
+            return end + self.end
+
+    spec = BenchmarkSpec(Kind.OJZJ, 10, 2)
+    block, image, tabled = _loop.layout(kernel, spec, 11, 3)
+    assert tabled == _loop.tables(spec)
+    assert len(image) == _loop.Loop.points.offset
+    for pointer, end, match in ((4, 0, "first_at at offset"),
+                                (0, 4, "ends at")):
+        with pytest.raises(RuntimeError, match=match):
+            _loop.layout(Shifted(pointer, end), spec, 11, 3)
 
 
 def kernel_class(kernel, spec, ones, g1=0):
