@@ -353,7 +353,7 @@ def run(lib, state, max_iters: int,
     if words == 1:
         xs[:] = bits[:m]
     else:
-        raw = memoryview(bits).cast("B")
+        raw = bytes(bits)
         from_bytes = int.from_bytes
         xs[:] = [from_bytes(raw[i:i + size], "little")
                  for i in range(0, m * size, size)]

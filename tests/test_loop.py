@@ -390,7 +390,7 @@ def test_buffer_that_fills_at_the_cover(monkeypatch, kernel):
              BenchmarkSpec(Kind.OMM, 9), BenchmarkSpec(Kind.OJZJ, 10, 2)),
             ("original", "modified"), (None, full_population)):
         if rig is not None and spec.kind is not Kind.COCZ:
-            continue  # the omm population covers on entry; ojzj has none
+            continue  # omm's covers the front on entry; ojzj's cannot exist
         args = (spec, AlgorithmSpec.from_names("gsemo", variant), 1, rig)
         with monkeypatch.context() as m:
             m.setattr(engine, "_sample", sample)
