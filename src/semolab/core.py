@@ -18,6 +18,7 @@ guarantee and gives O(1) slot-based parent lookup.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import neg
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
@@ -107,14 +108,9 @@ class Population:
                 return True
             return False  # strictly dominated by the successor
         hi = idx + 1 if idx < m and f1s[idx] == f1 else idx
-        # members left of idx have smaller f1; those with f2 <= f2 are a suffix
-        lo, top = 0, idx
-        while lo < top:
-            mid = (lo + top) // 2
-            if f2s[mid] <= f2:
-                top = mid
-            else:
-                lo = mid + 1
+        # members left of idx have smaller f1 and so larger f2 (-f2 ascends
+        # there); those with f2 <= f2 are a suffix
+        lo = bisect_left(f2s, -f2, 0, idx, key=neg)
         xs = self.xs
         slots = self.slots
         by_slot = self._by_slot

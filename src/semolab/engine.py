@@ -265,13 +265,13 @@ class Trajectory:
 
     @classmethod
     def of(cls, records) -> "Trajectory":
-        """The trajectory of ``records``, given in ascending t."""
+        """The trajectory of ``records``, given in strictly ascending t."""
         runs: list[tuple[TrajectoryRecord, list[int]]] = []
         tail = None
         last_t = None
         for rec in records:
             t = rec[0]
-            if last_t is not None and t < last_t:
+            if last_t is not None and t <= last_t:
                 raise ValueError(f"trajectory records out of t order: "
                                  f"t={t} after t={last_t}")
             last_t = t

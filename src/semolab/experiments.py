@@ -25,7 +25,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from itertools import takewhile
-from operator import itemgetter
+from operator import lt
 from typing import Optional, Sequence
 
 from . import calibration as cal
@@ -692,15 +692,8 @@ def check_equivalence_modified_original(
             f"only {len(bins)} usable histogram bin(s) after pooling "
             f"(expected-count floor {cal.EQUIVALENCE_MIN_EXPECTED}); "
             "increase trials_per_variant for enough test power")
-    stat = 0.0
-    for c1, c2 in bins:
-        tot = c1 + c2
-        e1 = n1 * tot / (n1 + n2)
-        e2 = n2 * tot / (n1 + n2)
-        stat += (c1 - e1) ** 2 / e1 + (c2 - e2) ** 2 / e2
-    dof = len(bins) - 1
-    from scipy.stats import chi2
-    p_value = float(chi2.sf(stat, dof))
+    from scipy.stats import chi2_contingency
+    stat, p_value, dof, _ = chi2_contingency(bins, correction=False)
     ok = p_value > cal.EQUIVALENCE_P_THRESHOLD
     k = f",k={bspec.k}" if bspec.k is not None else ""
     label = (f"{bspec.kind.value},n={bspec.n}{k},{algorithm},"
@@ -816,10 +809,9 @@ def load_results(trials_path, trajectories_path=None, *,
     """Rebuild TrialResult objects from the CSV pipeline.
 
     The trials file is authoritative for runtimes; trajectory rows are
-    joined back by trial id and sorted stably by t when a trial's rows are
-    out of order, and the ``final_*`` fields come from a trial's last
-    record. Without trajectories they are -1, so that loaded trials
-    compare equal when their rows are. The interior-initialization
+    joined back by trial id, and the ``final_*`` fields come from a
+    trial's last record. Without trajectories they are -1, so that loaded
+    trials compare equal when their rows are. The interior-initialization
     flag is not part of the file schema; every trial gets
     ``interior_init`` (None: unknown), which the caller takes from the
     run's configuration. A malformed row, a repeated trial id in the
@@ -834,9 +826,13 @@ def load_results(trials_path, trajectories_path=None, *,
     trial.
 
     The trajectories file is read line by line in the unquoted form that
-    ``write_trajectories_csv`` writes, and its rows are parsed once per
-    run of equal records: a row whose text after ``t`` equals the
-    previous row's of the same trial adds only its t to that row's run.
+    ``write_trajectories_csv`` writes: a trial's rows are contiguous and
+    strictly increasing in t. A trial whose rows are split by another
+    trial's raises ``ValueError`` naming the file and line, and one whose
+    t repeats or goes back raises it naming the file and the trial. The
+    rows are parsed once per run of equal records: a row whose text after
+    ``t`` equals the previous row's of the same trial adds only its t to
+    that row's run.
     """
     by_id: dict[str, TrialResult] = {}
     with open(trials_path, newline="") as fh:
@@ -883,9 +879,8 @@ def load_results(trials_path, trajectories_path=None, *,
         raise ValueError(f"{trials_path}: no data rows")
     if trajectories_path is None:
         return list(by_id.values())
-    # trial id -> (front size, runs); a run is (fields after t, ticks), and
-    # the front size is computed once per trial
-    by_tid: dict[str, tuple[int, list[tuple[tuple, list[int]]]]] = {}
+    # trial id -> runs; a run is (fields after t, ticks)
+    by_tid: dict[str, list[tuple[tuple, list[int]]]] = {}
     tid = text = None
     lineno, line = 1, ""
     with open(trajectories_path) as fh:
@@ -898,15 +893,17 @@ def load_results(trials_path, trajectories_path=None, *,
                     continue
                 row_tid, t, rest = line.split(",", 2)
                 if row_tid != tid:
+                    ref = by_id.get(row_tid)
+                    if ref is None:
+                        raise ValueError(f"unknown trial id {row_tid!r}")
+                    if row_tid in by_tid:
+                        raise ValueError(f"the rows of trial {row_tid!r} "
+                                         f"are split by rows of trial "
+                                         f"{tid!r}")
                     tid, text = row_tid, None
-                    entry = by_tid.get(tid)
-                    if entry is None:
-                        ref = by_id.get(tid)
-                        if ref is None:
-                            raise ValueError(f"unknown trial id {tid!r}")
-                        entry = by_tid[tid] = (BenchmarkSpec(
-                            Kind(ref.benchmark), ref.n, ref.k).front_size, [])
-                    front_size, runs = entry
+                    front_size = BenchmarkSpec(
+                        Kind(ref.benchmark), ref.n, ref.k).front_size
+                    runs = by_tid[tid] = []
                 if rest != text:
                     pop_size, max_g1, z_count, d_pf, frac = rest.split(",")
                     front_covered = float(frac)
@@ -930,19 +927,20 @@ def load_results(trials_path, trajectories_path=None, *,
     new = tuple.__new__
     loaded = []
     for tid, r in by_id.items():
-        runs = by_tid.get(tid, (0, ()))[1]
+        runs = by_tid.get(tid)
         if not runs:
             raise ValueError(f"{trajectories_path}: no rows for trial "
                              f"{tid!r}; the file is truncated")
-        if (all(ts == sorted(ts) for _, ts in runs)
-                and all(a[1][-1] <= b[1][0] for a, b in zip(runs, runs[1:]))):
-            trajectory = Trajectory(
-                (new(TrajectoryRecord, (ts[0],) + tail), tuple(ts))
-                for tail, ts in runs)
-        else:
-            trajectory = Trajectory.of(sorted(
-                (new(TrajectoryRecord, (t,) + tail)
-                 for tail, ts in runs for t in ts), key=itemgetter(0)))
+        if not (all(all(map(lt, ts, ts[1:])) for _, ts in runs)
+                and all(a[-1] < b[0] for (_, a), (_, b)
+                        in zip(runs, runs[1:]))):
+            ts = [t for _, run in runs for t in run]
+            a, b = next((a, b) for a, b in zip(ts, ts[1:]) if a >= b)
+            raise ValueError(f"{trajectories_path}: the rows of trial "
+                             f"{tid!r} are out of t order: t={b} after t={a}")
+        trajectory = Trajectory(
+            (new(TrajectoryRecord, (ts[0],) + tail), tuple(ts))
+            for tail, ts in runs)
         first_t = trajectory.runs[0][1][0]
         if first_t != 0:
             raise ValueError(

@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +196,6 @@ class TestGrowthLaw:
         """n^2 ln n and n^(k+1) have one definition in the package."""
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src", "semolab")
-        text = "".join(open(os.path.join(src, name)).read()
-                       for name in os.listdir(src) if name.endswith(".py"))
+        text = "".join(path.read_text() for path in Path(src).glob("*.py"))
         assert text.count("n * n * math.log(n)") == 1
         assert text.count("** (k + 1)") == 1

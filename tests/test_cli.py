@@ -279,6 +279,31 @@ class TestReport:
             assert "trajectories.csv: the rows of trial 'cocz-n16-" in err
             assert why in err and "the file is truncated" in err
 
+    def test_misordered_trajectories_diagnosed(self, tmp_path, capsys):
+        out = self.make_run(tmp_path)
+        path = out / "trajectories.csv"
+        header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+        tid = rows[0].split(b",")[0]
+        first = sum(row.startswith(tid + b",") for row in rows)
+        t = rows[1].split(b",")[1].decode()
+        again = rows[1].split(b",")
+        again[2] = b"%d" % (int(again[2]) + 1)
+        for cut, why in (
+                # a repeated row, and a repeated t with other fields
+                (rows[:2] + rows[1:], f"out of t order: t={t} after t={t}"),
+                (rows[:2] + [b",".join(again)] + rows[2:],
+                 f"out of t order: t={t} after t={t}"),
+                # a t that goes back
+                (rows[1::-1] + rows[2:], f"out of t order: t=0 after t={t}"),
+                # the first trial's last row after the second trial's rows
+                (rows[:first - 1] + rows[first:] + rows[first - 1:first],
+                 "are split by rows of trial")):
+            path.write_bytes(b"\r\n".join([header, *cut, b""]))
+            assert run_cli("report", "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert "trajectories.csv" in err and why in err
+            assert f"the rows of trial {tid.decode()!r}" in err
+
     def test_bad_censored_flag_diagnosed(self, tmp_path, capsys):
         out = self.make_run(tmp_path)
         text = (out / "trials.csv").read_text()
@@ -334,7 +359,8 @@ class TestReport:
         shutil.copytree(fixture, out)
         (out / "summary.txt").unlink()
         assert run_cli("report", "--out", str(out)) == 1
-        expected = open(os.path.join(fixture, "summary.txt")).read()
+        with open(os.path.join(fixture, "summary.txt")) as fh:
+            expected = fh.read()
         assert (out / "summary.txt").read_text() == expected
         assert "config f554082203b842f2" in expected
         replay = tmp_path / "replay"

@@ -862,6 +862,11 @@ class TestTrajectory:
         records = tuple(self.merged())
         with pytest.raises(ValueError, match="t order"):
             engine.Trajectory.of(records[::-1])
+        # a repeated t, with the same fields or with others
+        for again in (records[1], records[1]._replace(pop_size=11)):
+            with pytest.raises(ValueError, match=rf"t={again.t} after "
+                                                 rf"t={again.t}$"):
+                engine.Trajectory.of(records[:2] + (again,) + records[2:])
 
     def test_runs_per_insert(self, monkeypatch):
         # the trajectory is stored per change point, not per tick: at most

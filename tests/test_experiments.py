@@ -612,6 +612,25 @@ class TestEquivalence:
                 trials_per_variant=300, master_seed=3)
             assert report.verdict == "PASS"
 
+    def test_pearson_statistic_at_one_dof(self, monkeypatch):
+        # two bins: modified 30/70, original 50/50; the expected counts are
+        # 40 and 60 in both variants, so Pearson's statistic (without
+        # Yates' correction) is 2 * 10**2 / 40 + 2 * 10**2 / 60, and at one
+        # degree of freedom its p-value is erfc(sqrt(stat / 2))
+        keys = iter([(1, 1)] * 30 + [(2, 2)] * 70 + [(1, 1)] * 50
+                    + [(2, 2)] * 50)
+        monkeypatch.setattr(experiments, "run_offspring_budget",
+                            lambda *args: None)
+        monkeypatch.setattr(experiments, "_state_statistic",
+                            lambda bspec, state: next(keys))
+        report = check_equivalence_modified_original(
+            BenchmarkSpec(Kind.COCZ, 6), offspring_steps=1,
+            trials_per_variant=100, master_seed=0)
+        stat = 2 * 10 ** 2 / 40 + 2 * 10 ** 2 / 60
+        p = math.erfc(math.sqrt(stat / 2))
+        assert report.cells[0].detail == f"chi2={stat:.2f}, dof=1, p={p:.5g}"
+        assert report.verdict == "PASS" and p > cal.EQUIVALENCE_P_THRESHOLD
+
     def test_power_guard(self):
         with pytest.raises(ValueError, match="power"):
             check_equivalence_modified_original(
@@ -857,20 +876,58 @@ class TestCsvPipeline:
         trajs.write_bytes(data.replace(b"\r\n", b"\r\n\r\n", 3) + b"\n\n")
         assert [r.trajectory for r in load_results(trials, trajs)] == expected
 
-    def test_trajectory_rows_in_blocks_load_sorted(self, tmp_path):
+    def test_trajectory_rows_in_blocks_rejected(self, tmp_path):
+        # a trial's rows are contiguous, as the writer writes them
         trials, trajs = self.omm_csvs(tmp_path)
-        expected = [r.trajectory for r in load_results(trials, trajs)]
         header, *rows = trajs.read_bytes().split(b"\r\n")[:-1]
         tid = rows[0].split(b",")[0]
         first = [row for row in rows if row.split(b",")[0] == tid]
-        other = [row for row in rows if row not in first]
+        other = rows[len(first):]
         assert len(first) > 3 and other
         half = len(first) // 2
-        # the trial's later half first, the other trial between its blocks,
-        # and its earlier half reversed
-        shuffled = first[half:] + other + first[:half][::-1]
-        trajs.write_bytes(b"\r\n".join([header, *shuffled, b""]))
-        assert [r.trajectory for r in load_results(trials, trajs)] == expected
+        # the trial's earlier half, the other trial, and its later half
+        trajs.write_bytes(b"\r\n".join(
+            [header, *first[:half], *other, *first[half:], b""]))
+        with pytest.raises(ValueError, match=(
+                rf"trajectories\.csv:{len(rows) - len(first) + half + 2}: "
+                rf"the rows of trial '{tid.decode()}' are split by rows of "
+                r"trial 'omm-n8-")):
+            load_results(trials, trajs)
+
+    @pytest.mark.parametrize("layout", ["repeated row", "repeated t",
+                                        "t back across runs",
+                                        "t back in a run"])
+    def test_trajectory_rows_out_of_t_order_rejected(self, tmp_path, layout):
+        # a trial's t strictly increase, as the writer writes them: a
+        # repeated t, with the same fields or others, and a t that goes back
+        # are rejected, not sorted or merged
+        trials, trajs = self.omm_csvs(tmp_path)
+        header, *rows = trajs.read_bytes().split(b"\r\n")[:-1]
+        fields = [row.split(b",") for row in rows]
+        tid = fields[0][0]
+        # i and i + 1: rows of the first trial, after its t=0 row, whose
+        # fields after t differ (or are equal, for a swap inside a run)
+        same = layout == "t back in a run"
+        i = next(i for i in range(1, len(rows) - 1)
+                 if fields[i + 1][0] == tid
+                 and (fields[i][2:] == fields[i + 1][2:]) == same)
+        a, b = int(fields[i][1]), int(fields[i + 1][1])
+        if layout == "repeated row":
+            rows.insert(i + 1, rows[i])
+            after = a, a
+        elif layout == "repeated t":
+            pop_size = b"%d" % (int(fields[i][2]) + 7)
+            rows.insert(i + 1, b",".join(
+                [*fields[i][:2], pop_size, *fields[i][3:]]))
+            after = a, a
+        else:
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+            after = a, b
+        trajs.write_bytes(b"\r\n".join([header, *rows, b""]))
+        with pytest.raises(ValueError, match=(
+                rf"trajectories\.csv: the rows of trial '{tid.decode()}' are "
+                rf"out of t order: t={after[0]} after t={after[1]}$")):
+            load_results(trials, trajs)
 
     def test_truncated_trajectories_rejected(self, tmp_path):
         # a file cut after whole rows: the last trial's rows end before its
