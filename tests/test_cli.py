@@ -295,7 +295,7 @@ class TestReport:
                  f"out of t order: t={t} after t={t}"),
                 # a t that goes back
                 (rows[1::-1] + rows[2:], f"out of t order: t=0 after t={t}"),
-                # the first trial's last row after the second trial's rows
+                # the first trial's last row after the other trials' rows
                 (rows[:first - 1] + rows[first:] + rows[first - 1:first],
                  "are split by rows of trial")):
             path.write_bytes(b"\r\n".join([header, *cut, b""]))

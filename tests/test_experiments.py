@@ -898,7 +898,7 @@ class TestCsvPipeline:
                                         "t back across runs",
                                         "t back in a run"])
     def test_trajectory_rows_out_of_t_order_rejected(self, tmp_path, layout):
-        # a trial's t strictly increase, as the writer writes them: a
+        # a trial's rows strictly increase in t, as the writer writes them: a
         # repeated t, with the same fields or others, and a t that goes back
         # are rejected, not sorted or merged
         trials, trajs = self.omm_csvs(tmp_path)
