@@ -2,14 +2,15 @@
    population update and change points included.
 
    Python allocates the struct and its arrays as one block, the arrays
-   after the struct (loop_carve()), and fills in the generator pointers
-   and the members. loop_run() points the array fields at the arrays,
-   tempers the generator's block and indexes the members, then runs
-   iterations from t + 1 and applies Population.insert's update itself:
-   an offspring that changes the population's value set replaces the
-   members it weakly dominates, at the place that first_at[] and a binary
-   search over f2s[] give, with the slot and front flag of its value
-   class (class_of()). With `points` set it also writes the change point
+   after the struct where its ctypes layout puts them, and fills in the
+   byte offset of each array, the generator pointers and the members.
+   loop_run() points the array fields at the arrays, tempers the
+   generator's block and indexes the members, then runs iterations from
+   t + 1 and applies Population.insert's update itself: an offspring that
+   changes the population's value set replaces the members it weakly
+   dominates, at the place that first_at[] and a binary search over f2s[]
+   give, with the slot and front flag of its value class (class_of()).
+   With room for change points (cap > 0) it also writes the change point
    after every insert into points[] (record()), so that a run with
    trajectories is one call as well. loop_run() returns 1 when the
    population covers the front, 0 when t reaches the cutoff, and 2 when
@@ -80,9 +81,11 @@ struct loop {
                                    iff x <= thresholds[k] for the least k */
     const int32_t *classes;  /* (f1, f2, slot, front) by ones count, or NULL
                                 on cocz */
-    /* the arrays after the struct, which loop_carve() points these at */
-    int64_t *points;         /* 6 words per change point, or NULL (cap 0):
-                                none kept */
+    /* the byte offset from r of each array below, which Python lays out */
+    int64_t points_at, xs_at, child_at, f1s_at, f2s_at, slots_at,
+        at_slot_at, first_at_at;
+    /* the arrays, which loop_run() points at r plus their offsets */
+    int64_t *points;         /* 6 words per change point; none kept at cap 0 */
     uint64_t *xs;            /* member bits, `words` per member, f1 order */
     uint64_t *child;         /* the offspring */
     int32_t *f1s, *f2s, *slots;
@@ -221,31 +224,6 @@ static void reindex(struct loop *r)
     }
 }
 
-/* Point the array fields at the arrays that follow the struct, in this
-   order: points[6 * cap], xs[words * slot_count], child[words], then
-   f1s, f2s and slots of slot_count each, at_slot[slot_draw] and
-   first_at[2n + 1]. The 64-bit arrays come first, so no padding falls
-   between two of them. Returns the size of the whole block, which the
-   loader checks against its own layout. */
-long long loop_carve(struct loop *r)
-{
-    uint64_t *u = (uint64_t *)(r + 1);
-    int32_t *i;
-    r->points = r->cap ? (int64_t *)u : NULL;
-    u += 6 * (size_t)r->cap;
-    r->xs = u;
-    u += (size_t)r->words * r->slot_count;
-    r->child = u;
-    i = (int32_t *)(u + r->words);
-    r->f1s = i;
-    r->f2s = i += r->slot_count;
-    r->slots = i += r->slot_count;
-    r->at_slot = i += r->slot_count;
-    r->first_at = i += r->slot_draw;
-    i += 2 * r->n + 1;
-    return (long long)((char *)i - (char *)r);
-}
-
 /* Population.insert for an offspring of class c that no member weakly
    dominates; idx = first_at[c.f1]. The members it weakly dominates are
    the range [lo, hi): members left of idx have smaller f1, and those
@@ -334,7 +312,7 @@ INLINE int run(struct loop *r, int words)
     const int slot_draw = r->slot_draw;
     const int sbits = draw_bits((uint32_t)slot_draw);
     const int front_size = r->front_size;
-    const int64_t *const points = r->points;
+    const int keep = r->cap > 0;
     const uint64_t *const thresholds = r->thresholds;
     const int32_t *const classes = r->classes;
     const int32_t *const at_slot = r->at_slot, *const first_at = r->first_at;
@@ -395,13 +373,13 @@ INLINE int run(struct loop *r, int words)
         insert(r, i, c);
         m = r->m;
         mbits = draw_bits((uint32_t)m);
-        if (points)
+        if (keep)
             record(r, t);
         if (r->front_count == front_size) {
             found = 1;
             break;
         }
-        if (points && r->npoints == r->cap) {
+        if (keep && r->npoints == r->cap) {
             found = 2;
             break;
         }
@@ -412,14 +390,17 @@ INLINE int run(struct loop *r, int words)
     return found;
 }
 
-/* Carve r's arrays, temper out[] from the generator's words and index
-   the members, then run() with the width of r's strings fixed where it
-   is one or two words. The first three steps read only r, so a call
-   after a drain (return code 2) repeats them to the same effect. */
+/* Point r's array fields at its arrays, temper out[] from the
+   generator's words and index the members, then run() with the width of
+   r's strings fixed where it is one or two words. The first three steps
+   read only r, so a call after a drain (return code 2) repeats them to
+   the same effect. */
+#define AT(f) (r->f = (void *)((char *)r + r->f##_at))
 int loop_run(struct loop *r)
 {
     int j;
-    loop_carve(r);
+    AT(points), AT(xs), AT(child), AT(f1s), AT(f2s), AT(slots);
+    AT(at_slot), AT(first_at);
     for (j = 0; j < MT_N; j++)
         r->out[j] = temper(r->mt[j]);
     reindex(r);

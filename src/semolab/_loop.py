@@ -21,21 +21,20 @@ engine runs its Python loop, which gives the same results.
 population update itself. It twists the run's ``random.Random`` in place,
 so the generator is not copied; the members cross as one copy each way:
 their bits, values and slots, and the front count. The struct and every
-array the kernel writes are one ctypes object, a ``Block`` (``layout``):
-one allocation per run, into which ``run`` copies the fields that all
-runs of the instance share from a cached image, sets five fields of its
-own and copies the members. The whole run is one ``loop_run`` call, which
-carves the block's arrays, tempers the generator's block and indexes the
-members before it iterates. With trajectories on, the kernel also writes
-the change point after every insert into a buffer of ``POINTS`` points,
-which ``run`` turns into ``TrajectoryRecord``s when the call returns;
-only a run with more change points than that returns early, to have the
-buffer drained, and is called again. The read-only tables (flip-count
-thresholds and value classes) and the ``Block`` types are built once per
-benchmark instance. Around ``loop_run``, an ojzj n=20 trial of 2,000
-iterations with trajectories spends about 16 µs in ``run``: the set-up,
-the drain of its 17 or so change points and the copy back (2-core Intel
-Xeon, Python 3.11).
+array the kernel writes are one ctypes object, a ``Block`` (``layout``),
+whose ctypes fields alone lay out the arrays: the struct holds each
+array's byte offset, from which the kernel finds it. That is one
+allocation per run, into which ``run`` copies the fields that all runs of
+the instance share from a cached image, sets five fields of its own and
+copies the members. The whole run is one ``loop_run`` call, which points
+the array fields at the arrays, tempers the generator's block and indexes
+the members before it iterates. With trajectories on, the kernel also
+writes the change point after every insert into a buffer of ``POINTS``
+points, six ints each, which ``run`` appends to the run's flat list when
+the call returns; only a run with more change points than that returns
+early, to have the buffer drained, and is called again. The read-only
+tables (flip-count thresholds and value classes) and the ``Block`` types
+are built once per benchmark instance.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ import os
 import random
 import sys
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import truediv
+from itertools import chain
 
 from . import engine
 
@@ -66,11 +64,16 @@ _u64p = ctypes.POINTER(ctypes.c_uint64)
 _i32p = ctypes.POINTER(ctypes.c_int32)
 
 
+# the kernel's arrays, in the order of their pointers in ``struct loop``
+ARRAYS = ("points", "xs", "child", "f1s", "f2s", "slots", "at_slot",
+          "first_at")
+
+
 class Loop(ctypes.Structure):
     """``struct loop`` of ``_loop.c``, field for field; ``library()``
-    checks its size against ``loop_sizeof()``. The kernel sets the array
-    fields from ``points`` on (``loop_carve``); a run's ``Block`` holds
-    the arrays after them."""
+    checks its size against ``loop_sizeof()``. A run's ``Block``
+    (``layout``) holds the arrays after it, at the byte offsets of the
+    ``*_at`` fields; the kernel points the array fields at them."""
 
     _fields_ = [("mt", ctypes.c_void_p), ("index", ctypes.c_void_p),
                 ("n", ctypes.c_int32), ("words", ctypes.c_int32),
@@ -82,6 +85,7 @@ class Loop(ctypes.Structure):
                 ("t", ctypes.c_int64), ("cutoff", ctypes.c_int64),
                 ("idle", ctypes.c_int64),
                 ("thresholds", _u64p), ("classes", _i32p),
+                *((f"{name}_at", ctypes.c_int64) for name in ARRAYS),
                 ("points", ctypes.POINTER(ctypes.c_int64)), ("xs", _u64p),
                 ("child", _u64p), ("f1s", _i32p), ("f2s", _i32p),
                 ("slots", _i32p), ("at_slot", _i32p), ("first_at", _i32p),
@@ -187,8 +191,6 @@ def library():
                       "about 15 times slower", RuntimeWarning, stacklevel=2)
         return None
     ref = ctypes.POINTER(Loop)
-    lib.loop_carve.argtypes = [ref]
-    lib.loop_carve.restype = ctypes.c_longlong
     lib.loop_class.argtypes = [ref, ctypes.c_int32, ctypes.c_int32, _i32p]
     lib.loop_class.restype = None
     lib.loop_run.argtypes = [ref]
@@ -226,58 +228,42 @@ def tables(bspec):
 
 
 @lru_cache(maxsize=None)
-def layout(lib, bspec, slot_draw: int, points: int):
+def layout(bspec, slot_draw: int, points: int):
     """The ``Block`` type of the runs of ``bspec`` that draw slots from
     ``slot_draw`` (0: uniform parents) and buffer ``points`` change points,
     and the image of the fields those runs share.
 
-    A ``Block`` is ``Loop`` followed by the kernel's arrays, in the order
-    and sizes of ``loop_carve``, so a run allocates its struct and arrays
-    as one zeroed object. Its layout is checked here, once per type:
-    ``loop_carve`` on a probe block must point every array field at the
-    ctypes field of the same name (``points`` at NULL when it has no
-    room) and end where the last one ends. The image is the probe's
-    fields before the array pointers: the sizes, and the table pointers,
-    which ctypes type-checks as the probe is built. The cache entry holds
-    the tables, so the pointers in the image stay valid."""
+    A ``Block`` is ``Loop`` followed by the kernel's arrays as ctypes
+    fields, so a run allocates its struct and arrays as one zeroed object,
+    and ctypes alone decides where each array lies: the image holds its
+    byte offset in the ``*_at`` field of its name, from which the kernel
+    finds it. The image is a probe's fields before the array pointers: the
+    sizes, the offsets, and the table pointers, which ctypes type-checks
+    as the probe is built. The cache entry holds the tables, so the
+    pointers in the image stay valid."""
     n = bspec.n
     kern = bspec.kernels()
     words = (n + 63) // 64
     count = kern.slot_count
     i32, u64 = ctypes.c_int32, ctypes.c_uint64
-    arrays = [("points", ctypes.c_int64 * (6 * points)),
-              ("xs", u64 * (words * count)), ("child", u64 * words),
-              ("f1s", i32 * count), ("f2s", i32 * count),
-              ("slots", i32 * count), ("at_slot", i32 * slot_draw),
-              # objective values lie in [0, 2n]: ones counts, plus the gap
-              # on ojzj
-              ("first_at", i32 * (2 * n + 1))]
+    sizes = (ctypes.c_int64 * (6 * points), u64 * (words * count),
+             u64 * words, i32 * count, i32 * count, i32 * count,
+             # objective values lie in [0, 2n]: ones counts, plus the gap
+             # on ojzj
+             i32 * slot_draw, i32 * (2 * n + 1))
     block = type("Block", (Loop,), {"_fields_": [
-        (f"{name}_", kind) for name, kind in arrays]})
+        (f"{name}_", kind) for name, kind in zip(ARRAYS, sizes)]})
     thresholds, classes = tables(bspec)
     probe = block(n=n, words=words, half=n // 2, slot_draw=slot_draw,
                   slot_count=count, front_size=kern.front_size,
                   span=kern.slot_span, cap=points, thresholds=thresholds,
-                  classes=classes)
-    image = bytes(probe)[:Loop.points.offset]
-    end = lib.loop_carve(ctypes.byref(probe))
-    for name, _ in arrays:
-        field = getattr(block, f"{name}_")
-        want = None if name == "points" and not points else field.offset
-        got = ctypes.cast(getattr(probe, name), ctypes.c_void_p).value
-        if got is not None:
-            got -= ctypes.addressof(probe)
-        if got != want:
-            raise RuntimeError(f"loop_carve puts {name} at offset {got}, "
-                               f"not {want}")
-    if end != block.first_at_.offset + block.first_at_.size:
-        raise RuntimeError(f"loop_carve ends at {end}, not at "
-                           f"{block.first_at_.offset + block.first_at_.size}")
-    return block, image, (thresholds, classes)
+                  classes=classes, **{f"{name}_at": getattr(
+                      block, f"{name}_").offset for name in ARRAYS})
+    return block, bytes(probe)[:Loop.points.offset], (thresholds, classes)
 
 
 def run(lib, state, max_iters: int,
-        changes: list | None) -> tuple[int, int]:
+        points: list | None) -> tuple[int, int]:
     """Run a fresh ``state`` (standard bit mutation) until it covers the
     front or reaches ``max_iters``; returns the last iteration and the
     idle draws.
@@ -286,14 +272,11 @@ def run(lib, state, max_iters: int,
     The struct and the kernel's arrays are one ``Block`` (``layout``):
     one allocation, the shared fields copied in from its image, five
     fields set per run, and the members copied into its arrays and back.
-    With ``changes`` a list, the kernel also writes the change point after
-    every insert, the fields of ``engine.measure``, and ``run`` appends
-    them to it as records, as ``_python_loop`` appends ``measure(state)``.
-    A full buffer (return code 2) is appended and the kernel called again.
-    The records are built column by column from the buffer's ``tolist()``:
-    a slice per field, the covered fraction by ``map``, and a constant
-    None column for ``max_g1`` and ``z_count`` off cocz, zipped into
-    records, so no Python statement runs per change point.
+    With ``points`` a list, the kernel also writes the change point after
+    every insert, the six ints of ``engine.point``, and ``run`` appends
+    them to it, as ``_python_loop`` appends ``point(state)``: one
+    ``tolist()`` of the buffer each time the kernel returns. A full buffer
+    (return code 2) is drained and the kernel called again.
     """
     if not isinstance(state.rng, random.Random):  # no RandomObject to write
         raise TypeError(f"not a random.Random: {type(state.rng).__name__}")
@@ -305,8 +288,8 @@ def run(lib, state, max_iters: int,
     slot_draw = (state.slot_draw_count
                  if state.alg.selection is engine.Selection.SLOT_PARENT
                  else 0)
-    block, image, (_, classes) = layout(lib, state.bspec, slot_draw,
-                                        0 if changes is None else POINTS)
+    block, image, _ = layout(state.bspec, slot_draw,
+                             0 if points is None else POINTS)
     r = block()
     memoryview(r).cast("B")[:len(image)] = image
     at = id(state.rng) + OFFSET
@@ -328,27 +311,13 @@ def run(lib, state, max_iters: int,
     r.f2s_[:m] = pop.f2s
     r.slots_[:m] = pop.slots
     ref = ctypes.byref(r)
-    if changes is None:
-        lib.loop_run(ref)
-    else:
-        words64 = memoryview(r.points_).cast("B").cast("q")
-        front_size = r.front_size
-        new, record = tuple.__new__, engine.TrajectoryRecord
-        code = 2
-        while code == 2:
-            code = lib.loop_run(ref)
-            # six words per point: t, size, max_g1, z_count, d_pf, covered;
-            # max_g1 and z_count (written as -1) are None but on cocz
-            flat = words64[:6 * r.npoints].tolist()
-            r.npoints = 0
-            covered = flat[5::6]
-            if classes is None:
-                g1s, zs = flat[2::6], flat[3::6]
-            else:
-                g1s = zs = repeat(None)
-            changes.extend(map(new, repeat(record), zip(
-                flat[0::6], flat[1::6], g1s, zs, flat[4::6], covered,
-                map(truediv, covered, repeat(front_size)))))
+    buffer = memoryview(r.points_).cast("B").cast("q")
+    drained = [] if points is None else points
+    code = 2
+    while code == 2:
+        code = lib.loop_run(ref)
+        drained += buffer[:6 * r.npoints].tolist()
+        r.npoints = 0
     m = r.m
     if words == 1:
         xs[:] = bits[:m]

@@ -52,13 +52,15 @@ An iteration pays only for what it draws:
 * Only idle slot draws are counted. Every other iteration created one
   offspring, evaluated or not, so the evaluations after t iterations are
   t + 1 - idle and both runtimes match ``step``'s.
-* With trajectories on, the loop records change points only: ``measure``
-  at t=0 and after each insert, the only place where a record's fields
-  other than ``t`` can change, so no iteration tests a schedule. The
-  kernel writes each change point after an insert into a buffer, by
-  ``measure``'s formulas, and the run stays one foreign call.
+* With trajectories on, the loop records change points only, at t=0 and
+  after each insert, the only place where a record's fields other than
+  ``t`` can change, so no iteration tests a schedule. A change point is
+  six ints (``point``) appended to one flat list; the kernel writes the
+  same six ints into a buffer, and the run stays one foreign call.
   ``_sample`` derives the sampled trajectory from them when the run ends,
-  with one step per change point.
+  with one step per change point and one record (``as_record``) per run
+  of the trajectory. No run calls ``measure``, the record of a state,
+  which the suites and the benchmark's tracer call by name.
 
 A sampled trajectory is a ``Trajectory``: runs of equal records, one
 record and the ticks it holds at, so the records between two change
@@ -74,6 +76,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import count
 from operator import add, itemgetter
 from typing import NamedTuple, Optional
 
@@ -410,10 +413,12 @@ def step(state: RunState) -> RunState:
     return state
 
 
-def measure(state: RunState) -> TrajectoryRecord:
-    """The trajectory record of ``state`` at its t. The Python loop calls
-    it once per change point; the kernel writes the same fields by the
-    same formulas (``record`` in ``_loop.c``).
+def point(state: RunState) -> list[int]:
+    """The change point of ``state`` at its t: t, the population size,
+    ``max_g1``, ``z_count``, ``d_pf`` and the covered count, six ints with
+    -1 for ``max_g1`` and ``z_count`` off cocz. The Python loop appends it
+    after every insert; the kernel writes the same six ints by the same
+    formulas (``record`` in ``_loop.c``).
 
     ``d_pf`` is the least of min(s, span - s) over the member slots, that
     is min(min(slots), span - max(slots)). On cocz f1 + f2 = n/2 + 2*g1,
@@ -421,22 +426,31 @@ def measure(state: RunState) -> TrajectoryRecord:
     f1 + f2.
     """
     pop = state.pop
-    kern = state.kernels
     slots = pop.slots
-    d_pf = min(min(slots), kern.slot_span - max(slots))
+    d_pf = min(min(slots), state.kernels.slot_span - max(slots))
+    max_g1 = z_count = -1
     if state.bspec.kind is Kind.COCZ:
         sums = list(map(add, pop.f1s, pop.f2s))
         top = max(sums)
-        max_g1: Optional[int] = (top - state.n // 2) >> 1
-        z_count: Optional[int] = sums.count(top)
-    else:
-        max_g1 = None
-        z_count = None
-    covered = pop.front_count
+        max_g1, z_count = (top - state.n // 2) >> 1, sums.count(top)
+    return [state.t, len(slots), max_g1, z_count, d_pf, pop.front_count]
+
+
+def as_record(t: int, pop_size: int, max_g1: int, z_count: int, d_pf: int,
+              covered: int, front_size: int) -> TrajectoryRecord:
+    """The trajectory record of a change point's six ints (-1 is None)
+    on a front of ``front_size`` values."""
     # positional: building a named tuple from keywords costs several times
-    # as much, once per change point
-    return _new(TrajectoryRecord, (state.t, len(slots), max_g1, z_count,
-                                   d_pf, covered, covered / kern.front_size))
+    # as much
+    return _new(TrajectoryRecord, (
+        t, pop_size, None if max_g1 < 0 else max_g1,
+        None if z_count < 0 else z_count, d_pf, covered,
+        covered / front_size))
+
+
+def measure(state: RunState) -> TrajectoryRecord:
+    """The trajectory record of ``state`` at its t."""
+    return as_record(*point(state), state.kernels.front_size)
 
 
 def default_sample_period(n: int) -> int:
@@ -444,24 +458,26 @@ def default_sample_period(n: int) -> int:
     return max(1, math.ceil(n * n / 200))
 
 
-def _sample(changes: list[TrajectoryRecord], end: int, period: int,
-            sample_at: tuple[int, ...]) -> Trajectory:
+def _sample(points: list[int], end: int, period: int,
+            sample_at: tuple[int, ...], front_size: int) -> Trajectory:
     """The sampled trajectory of a run that stopped at t = ``end``.
 
-    ``changes`` holds the run's change points in strictly increasing t,
-    all at most ``end``: ``measure`` at t=0 and after every insert.
-    Between two of them nothing a record holds changes, so the state at t
-    is the last change point at or before t. A record is due at t=0, at
-    every multiple of ``period``, at every positive point of
+    ``points`` holds the run's change points, six ints each (``point``),
+    in strictly increasing t, all at most ``end``: at t=0 and after every
+    insert. Between two of them nothing a record holds changes, so the
+    state at t is the last change point at or before t. A record is due
+    at t=0, at every multiple of ``period``, at every positive point of
     ``sample_at``, at every change of the covered count, and at ``end``,
     each only up to ``end``. A record due at a change point is that
-    change point; any other is the state with ``t`` replaced.
+    change point's (``as_record`` on a front of ``front_size``); any other
+    is the state with ``t`` replaced.
 
     The work is done once per change point: each change point with a due
     point gives one run of the trajectory, its record and the due points
     before the next change point, merged into the run before it when
-    their fields are equal. No record is built per tick, and the ticks of
-    a segment are ranges over the period grid, cut only at the due points
+    their fields are equal. The t and covered columns are read as slices,
+    a record is built per run, not per change point, and the ticks of a
+    segment are ranges over the period grid, cut only at the due points
     off it.
     """
     # the due points off the period grid (sample_at and end), ascending,
@@ -475,21 +491,23 @@ def _sample(changes: list[TrajectoryRecord], end: int, period: int,
     runs: list[list[int]] = []
     fields = None
     ts: list[int] = []
-    covered = changes[0][5]
-    times = [*map(itemgetter(0), changes), end + 1]
-    for rec, t, stop in zip(changes, times, times[1:]):
+    covered = points[5]
+    times = points[0::6]
+    times.append(end + 1)
+    for j, t, stop, now in zip(count(1, 6), times, times[1:], points[5::6]):
         tick = t + -t % period  # the first period tick at or after t
-        if rec[5] != covered or d == t:  # t is due
-            covered = rec[5]
+        if now != covered or d == t:  # t is due
+            covered = now
             lone = tick != t  # and the range below does not hold it
         elif tick < stop or d < stop:
             lone = False
         else:
             continue  # nothing is due before the next change point
-        if rec[1:] != fields:
-            fields = rec[1:]
+        tail = points[j:j + 5]
+        if tail != fields:
+            fields = tail
             ts = []
-            recs.append(rec)
+            recs.append(as_record(t, *fields, front_size))
             runs.append(ts)
         if lone:
             ts.append(t)
@@ -515,11 +533,12 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     Trajectory records are taken at t=0, every ``default_sample_period``
     iterations, whenever the covered-front count changes, at every
     iteration listed in ``sample_at``, and at termination. The loop
-    itself keeps no schedule: it takes a change point (``measure``, or
-    the kernel's record of the same fields) at t=0 and after every insert,
-    and ``_sample`` builds the trajectory's runs from these change points
-    when the run ends. That is exact because a record holds nothing that
-    an equal-value replacement changes.
+    itself keeps no schedule: it appends a change point (``point``, or
+    the kernel's six ints of the same fields) at t=0 and after every
+    insert, and ``_sample`` builds the trajectory's runs from these
+    change points when the run ends. That is exact because a record holds
+    nothing that an equal-value replacement changes. The ``final_*``
+    fields are read from the final population.
 
     The loop skips what changes nothing (see the module docstring) and
     counts only idle draws, so the evaluations after t iterations are
@@ -531,19 +550,20 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
     state = init_state(bspec, alg, seed)
     max_iters = alg.cutoff(bspec)
     period = default_sample_period(bspec.n)
-    # one record per change of the population's value set, t=0 first
-    changes = [measure(state)] if record_trajectory else None
+    # six ints per change of the population's value set, t=0 first
+    points = point(state) if record_trajectory else None
     lib = None
     if alg.mutation is Mutation.STANDARD:
         from . import _loop
         lib = _loop.library()
     if lib is None:
-        t, idle = _python_loop(state, max_iters, changes)
+        t, idle = _python_loop(state, max_iters, points)
     else:
-        t, idle = _loop.run(lib, state, max_iters, changes)
+        t, idle = _loop.run(lib, state, max_iters, points)
     state.t = t
     state.evaluations = t + 1 - idle
-    final = changes[-1] if record_trajectory else measure(state)
+    pop = state.pop
+    front_size = state.kernels.front_size
     return TrialResult(
         benchmark=bspec.kind.value,
         n=bspec.n,
@@ -553,21 +573,21 @@ def run_until_cover(bspec: BenchmarkSpec, alg: AlgorithmSpec, seed: int, *,
         seed=seed,
         runtime_evals=state.evaluations,
         runtime_iters=t,
-        censored=state.pop.front_count != state.kernels.front_size,
-        final_pop_size=final.pop_size,
-        final_covered=final.covered,
-        final_front_covered=final.front_covered,
+        censored=pop.front_count != front_size,
+        final_pop_size=len(pop),
+        final_covered=pop.front_count,
+        final_front_covered=pop.front_count / front_size,
         interior_init=alg.interior_init,
-        trajectory=(_sample(changes, t, period, sample_at)
+        trajectory=(_sample(points, t, period, sample_at, front_size)
                     if record_trajectory else _NO_TRAJECTORY),
     )
 
 
 def _python_loop(state: RunState, max_iters: int,
-                 changes: Optional[list[TrajectoryRecord]],
+                 points: Optional[list[int]],
                  offspring_target: Optional[int] = None) -> tuple[int, int]:
     """The run loop in Python; returns the last iteration and the idle
-    draws. With ``changes`` a list, ``measure`` is appended to it after
+    draws. With ``points`` a list, ``point`` is appended to it after
     every insert. With ``offspring_target`` the run goes on past cover
     until that many offspring: each pass of the ``for`` ends at an insert
     or where the target falls if no more draws idle, and the checks a
@@ -686,9 +706,9 @@ def _python_loop(state: RunState, max_iters: int,
             fates.clear()
             m = len(xs)
             mbits = (m - 1).bit_length()
-            if changes is not None:
+            if points is not None:
                 state.t = t
-                changes.append(measure(state))
+                points += point(state)
             # past cover the values freeze, but t and the generator do not
             if budget or pop.front_count == front_size:
                 break

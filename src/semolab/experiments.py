@@ -31,9 +31,8 @@ from typing import Optional, Sequence
 from . import calibration as cal
 from .benchmarks import BenchmarkSpec, Kind
 from .bounds import growth_law, reference_model
-from .engine import (AlgorithmSpec, Trajectory, TrajectoryRecord,
-                     TrialResult, measure, run_offspring_budget,
-                     run_until_cover)
+from .engine import (AlgorithmSpec, Trajectory, TrialResult, as_record,
+                     measure, run_offspring_budget, run_until_cover)
 
 MAX_ITERATION_LIMIT = 2 ** 62  # cells beyond this are rejected up front
 
@@ -817,22 +816,26 @@ def load_results(trials_path, trajectories_path=None, *,
     run's configuration. A malformed row, a repeated trial id in the
     trials file or an unknown one in the trajectories file raises
     ``ValueError`` naming the file and line, and so do a ``censored``
-    field other than 0 or 1 and runtimes that no run makes:
-    ``runtime_iters < 0``, ``runtime_evals < 1`` or ``runtime_evals >
-    runtime_iters + 1``. A trial whose rows are missing, do not start at
-    t=0 or do not end at its ``runtime_iters``, as in a file cut before or
-    after whole rows, or a last row without its line break, as in a file
-    cut inside a row, raises ``ValueError`` naming the file and the
-    trial.
+    field other than 0 or 1, a cell that no run makes (one that
+    ``BenchmarkSpec`` or ``AlgorithmSpec.from_names`` rejects) and
+    runtimes that no run makes: ``runtime_iters < 0``, ``runtime_evals <
+    1`` or ``runtime_evals > runtime_iters + 1``. A trial whose rows are
+    missing, do not start at t=0 or do not end at its ``runtime_iters``,
+    as in a file cut before or after whole rows, or a last row without its
+    line break, as in a file cut inside a row, raises ``ValueError``
+    naming the file and the trial.
 
     The trajectories file is read line by line in the unquoted form that
     ``write_trajectories_csv`` writes: a trial's rows are contiguous and
     strictly increasing in t. A trial whose rows are split by another
     trial's raises ``ValueError`` naming the file and line, and one whose
-    t repeats or goes back raises it naming the file and the trial. The
-    rows are parsed once per run of equal records: a row whose text after
-    ``t`` equals the previous row's of the same trial adds only its t to
-    that row's run.
+    t repeats or goes back raises it naming the file and the trial, and a
+    row with ``pop_size < 1``, ``d_pf < 0`` or a ``front_covered`` that is
+    not covered / front size for a count covered >= 0 raises it naming
+    the file and line. The rows are parsed once per run of equal records:
+    a row whose text after ``t`` equals the previous row's of the same
+    trial adds only its t to that row's run, and each run's record is
+    built once, by ``engine.as_record``, as ``run`` builds it.
     """
     by_id: dict[str, TrialResult] = {}
     with open(trials_path, newline="") as fh:
@@ -852,6 +855,10 @@ def load_results(trials_path, trajectories_path=None, *,
                 if censored not in ("0", "1"):
                     raise ValueError(f"censored must be 0 or 1, got "
                                      f"{censored!r}")
+                # a cell that no run makes fails here, as in a config
+                bspec = BenchmarkSpec(Kind(benchmark), int(n),
+                                      int(k) if k != "" else None)
+                AlgorithmSpec.from_names(algorithm, variant)
                 # a run of t iterations made t + 1 - idle evaluations
                 evals, iters = int(runtime_evals), int(runtime_iters)
                 if iters < 0 or not 1 <= evals <= iters + 1:
@@ -860,8 +867,7 @@ def load_results(trials_path, trajectories_path=None, *,
                         f"runtime_iters={iters} need 0 <= runtime_iters and "
                         f"1 <= runtime_evals <= runtime_iters + 1")
                 result = TrialResult(
-                    benchmark=benchmark, n=int(n),
-                    k=int(k) if k != "" else None,
+                    benchmark=benchmark, n=bspec.n, k=bspec.k,
                     algorithm=algorithm, variant=variant, seed=int(seed),
                     runtime_evals=evals, runtime_iters=iters,
                     censored=censored == "1",
@@ -879,7 +885,7 @@ def load_results(trials_path, trajectories_path=None, *,
         raise ValueError(f"{trials_path}: no data rows")
     if trajectories_path is None:
         return list(by_id.values())
-    # trial id -> runs; a run is (fields after t, ticks)
+    # trial id -> runs; a run is (record, ticks)
     by_tid: dict[str, list[tuple[tuple, list[int]]]] = {}
     tid = text = None
     lineno, line = 1, ""
@@ -900,22 +906,31 @@ def load_results(trials_path, trajectories_path=None, *,
                         raise ValueError(f"the rows of trial {row_tid!r} "
                                          f"are split by rows of trial "
                                          f"{tid!r}")
-                    tid, text = row_tid, None
+                    tid, text, fields = row_tid, None, None
                     front_size = BenchmarkSpec(
                         Kind(ref.benchmark), ref.n, ref.k).front_size
                     runs = by_tid[tid] = []
                 if rest != text:
                     pop_size, max_g1, z_count, d_pf, frac = rest.split(",")
                     front_covered = float(frac)
-                    tail = (int(pop_size), int(max_g1) if max_g1 else None,
-                            int(z_count) if z_count else None, int(d_pf),
-                            round(front_covered * front_size), front_covered)
+                    size, d, covered = (int(pop_size), int(d_pf),
+                                        round(front_covered * front_size))
+                    if (size < 1 or d < 0 or covered < 0
+                            or covered / front_size != front_covered):
+                        raise ValueError(
+                            f"impossible fields: need pop_size >= 1, "
+                            f"d_pf >= 0 and front_covered = covered / "
+                            f"{front_size} for a count covered >= 0")
+                    tail = (size, int(max_g1) if max_g1 else -1,
+                            int(z_count) if z_count else -1, d, covered)
                     text = rest
-                    if not runs or runs[-1][0] != tail:
-                        runs.append((tail, []))
-                    append = runs[-1][1].append
+                    if tail != fields:
+                        fields, ts = tail, []
+                        runs.append((as_record(int(t), *tail, front_size),
+                                     ts))
+                    append = ts.append
                 append(int(t))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{trajectories_path}:{lineno}: {exc} in row "
                              f"{line.rstrip(chr(10))!r}") from None
     # every row ends in a line break: a last row without one was cut
@@ -924,7 +939,6 @@ def load_results(trials_path, trajectories_path=None, *,
         raise ValueError(f"{trajectories_path}:{lineno}: the last row of "
                          f"trial {tid!r} has no line break; the file is "
                          "truncated")
-    new = tuple.__new__
     loaded = []
     for tid, r in by_id.items():
         runs = by_tid.get(tid)
@@ -938,9 +952,7 @@ def load_results(trials_path, trajectories_path=None, *,
             a, b = next((a, b) for a, b in zip(ts, ts[1:]) if a >= b)
             raise ValueError(f"{trajectories_path}: the rows of trial "
                              f"{tid!r} are out of t order: t={b} after t={a}")
-        trajectory = Trajectory(
-            (new(TrajectoryRecord, (ts[0],) + tail), tuple(ts))
-            for tail, ts in runs)
+        trajectory = Trajectory((rec, tuple(ts)) for rec, ts in runs)
         first_t = trajectory.runs[0][1][0]
         if first_t != 0:
             raise ValueError(

@@ -324,6 +324,33 @@ class TestReport:
         assert ("trials.csv:2: impossible runtimes: runtime_evals=-3"
                 in capsys.readouterr().err)
 
+    def test_impossible_cells_and_fields_diagnosed(self, tmp_path, capsys):
+        # a trials row of a cell that no run makes, and a trajectory row
+        # with fields that no run writes (cocz n=16: 9 front values)
+        out = self.make_run(tmp_path)
+        trials, trajs = out / "trials.csv", out / "trajectories.csv"
+        text, data = trials.read_text(), trajs.read_bytes()
+        header, row, *rest = text.splitlines(keepends=True)
+        for cell in ("cocz,7,,gsemo,modified", "xyz,8,,gsemo,modified",
+                     "omm,8,2,gsemo,modified", "ojzj,8,,gsemo,modified",
+                     "omm,1,,gsemo,modified", "cocz,16,,gsemo,bogus"):
+            fields = row.split(",")
+            fields[:5] = cell.split(",")
+            trials.write_text("".join([header, ",".join(fields), *rest]))
+            assert run_cli("report", "--out", str(out)) == 2, cell
+            assert "trials.csv:2: " in capsys.readouterr().err, cell
+        trials.write_text(text)
+        top, first, *others = data.split(b"\r\n")
+        for field, value in ((-1, b"0.31"), (-1, b"-0.5"), (2, b"0"),
+                             (5, b"-1")):
+            fields = first.split(b",")
+            fields[field] = value
+            trajs.write_bytes(b"\r\n".join([top, b",".join(fields),
+                                             *others]))
+            assert run_cli("report", "--out", str(out)) == 2, value
+            assert ("trajectories.csv:2: impossible fields"
+                    in capsys.readouterr().err), value
+
     def semo_ojzj_run(self, tmp_path, interior):
         out = tmp_path / f"semo-{interior}"
         code = run_cli("run", "--benchmark", "ojzj", "--n", "10", "--k", "2",

@@ -597,6 +597,24 @@ def change_points(*points):
             for i, (t, covered) in enumerate(points)]
 
 
+def flat(changes):
+    """Change point records as ``_sample`` takes them: the first six
+    fields of each, -1 for None."""
+    return [-1 if v is None else v for c in changes for v in c[:6]]
+
+
+def records(points, front_size):
+    """The records of the change points in a flat list of six ints each."""
+    return [engine.as_record(*points[i:i + 6], front_size)
+            for i in range(0, len(points), 6)]
+
+
+def sample_records(changes, end, period, sample_at, front_size=10):
+    """``_sample`` of change point records, on ``change_points``' front of
+    10 values unless told otherwise."""
+    return engine._sample(flat(changes), end, period, sample_at, front_size)
+
+
 def replay_schedule(changes, end, period, sample_at, max_iters):
     """Brute force: the state at each t <= end is the last change point at or
     before t, and a record is taken wherever one is due."""
@@ -650,7 +668,7 @@ def assert_runs_well_formed(traj, changes):
     at = {c.t: c for c in changes}
     for rec, ts in traj.runs:
         if ts[0] in at:
-            assert rec is at[ts[0]]
+            assert rec == at[ts[0]]
 
 
 class TestSampleSchedule:
@@ -676,17 +694,17 @@ class TestSampleSchedule:
     ])
     def test_matches_replay(self, points, end, period, sample_at, max_iters):
         changes = change_points(*points)
-        got = engine._sample(changes, end, period, sample_at)
+        got = sample_records(changes, end, period, sample_at)
         assert got == replay_schedule(changes, end, period, sample_at,
                                       max_iters)
         for rec in got:  # a record at a change point is that change point
             if any(c.t == rec.t for c in changes):
-                assert any(rec is c for c in changes)
+                assert any(rec == c for c in changes)
         assert_runs_well_formed(got, changes)
 
     def test_matches_replay_random(self):
         for changes, end, period, sample_at, max_iters in random_schedules():
-            got = engine._sample(changes, end, period, sample_at)
+            got = sample_records(changes, end, period, sample_at)
             assert got == replay_schedule(changes, end, period, sample_at,
                                           max_iters)
             assert_runs_well_formed(got, changes)
@@ -695,31 +713,36 @@ class TestSampleSchedule:
     def test_measure_once_per_insert(self, monkeypatch, record):
         # with trajectories on, the loop takes a change point at t=0 (after
         # the first insert) and after every later insert, and nowhere else;
-        # with them off it measures the final state once. The Python loop
-        # inserts through Population.insert and measures with ``measure``.
-        # The kernel applies its inserts itself (Population.insert runs for
-        # the initial individual only) and writes each later change point
-        # itself, so ``measure`` runs once per run there, and its change
-        # points, plus the one at t=0, are as many as the Python loop's
+        # with them off it takes none, and no run calls ``measure``: the
+        # final fields come from the population. The Python loop inserts
+        # through Population.insert and appends ``point``. The kernel
+        # applies its inserts itself (Population.insert runs for the
+        # initial individual only) and writes each later change point
+        # itself, so ``point`` runs once per run there, at t=0, and its
+        # change points, plus that one, are as many as the Python loop's
         # inserts
-        counts = {"insert": 0, "measure": 0}
+        counts = {"insert": 0, "point": 0, "measure": 0}
         changes = []
         real_insert = Population.insert
-        real_measure, real_sample = engine.measure, engine._sample
+        real_point, real_sample = engine.point, engine._sample
 
         def insert(self, *args):
             counts["insert"] += 1
             return real_insert(self, *args)
 
+        def counted_point(*args, **kwargs):
+            counts["point"] += 1
+            return real_point(*args, **kwargs)
+
         def counted_measure(*args, **kwargs):
             counts["measure"] += 1
-            return real_measure(*args, **kwargs)
 
         def sample(points, *args):
-            changes.append(len(points))
+            changes.append(len(points) // 6)
             return real_sample(points, *args)
 
         monkeypatch.setattr(Population, "insert", insert)
+        monkeypatch.setattr(engine, "point", counted_point)
         monkeypatch.setattr(engine, "measure", counted_measure)
         monkeypatch.setattr(engine, "_sample", sample)
         for (kind, n, k, interior), alg_name, variant in itertools.product(
@@ -731,14 +754,15 @@ class TestSampleSchedule:
                 args = (BenchmarkSpec(kind, n, k), alg, seed)
                 kwargs = dict(record_trajectory=record, sample_at=(1, 50))
                 inserts = python_loop_inserts(monkeypatch, *args, **kwargs)
-                counts.update(insert=0, measure=0)
+                counts.update(insert=0, point=0, measure=0)
                 changes.clear()
                 run_until_cover(*args, **kwargs)
                 assert inserts > 1
                 assert changes == ([inserts] if record else [])
                 assert counts["insert"] == (1 if kernel else inserts)
-                assert counts["measure"] == (inserts if record and not kernel
-                                             else 1)
+                assert counts["point"] == (0 if not record else
+                                           1 if kernel else inserts)
+                assert counts["measure"] == 0
 
 
 def python_loop_inserts(monkeypatch, *args, **kwargs) -> int:
@@ -794,7 +818,7 @@ MERGING_RUN = (12, 4, (3,))
 
 class TestTrajectory:
     def merged(self):
-        return engine._sample(MERGING_CHANGES, *MERGING_RUN)
+        return sample_records(MERGING_CHANGES, *MERGING_RUN)
 
     def test_equal_neighbours_share_a_run(self, tmp_path):
         traj = self.merged()
@@ -812,9 +836,10 @@ class TestTrajectory:
         seen = []
         real_sample = engine._sample
 
-        def sample(changes, *args):
-            seen.append((changes, args))
-            return real_sample(changes, *args)
+        def sample(points, *args):
+            assert len(points) % 6 == 0
+            seen.append((records(points, spec.front_size), args[:3]))
+            return real_sample(points, *args)
 
         monkeypatch.setattr(engine, "_sample", sample)
         spec = BenchmarkSpec(Kind.COCZ, 64)
@@ -830,7 +855,7 @@ class TestTrajectory:
 
     def test_round_trip_random_schedules(self, tmp_path):
         for changes, end, period, sample_at, max_iters in random_schedules():
-            traj = engine._sample(changes, end, period, sample_at)
+            traj = sample_records(changes, end, period, sample_at)
             (loaded,) = write_and_load([omm9_trial(traj, end)], tmp_path)
             assert loaded == traj
             assert tuple(loaded) == tuple(traj)

@@ -829,6 +829,50 @@ class TestCsvPipeline:
                                              rf"{iters}"):
             load_results(trials)
 
+    @pytest.mark.parametrize("cell,why", [
+        (("cocz", "7", ""), "cocz requires even n"),
+        (("xyz", "8", ""), "'xyz' is not a valid Kind"),
+        (("omm", "8", "2"), "omm takes no gap size"),
+        (("ojzj", "8", ""), "ojzj requires a gap size k"),
+        (("omm", "1", ""), "problem size must be >= 2"),
+        (("omm", "8", "", "gsemo", "bogus"), "unknown variant 'bogus'"),
+        (("omm", "8", "", "hillclimb"), "unknown algorithm 'hillclimb'"),
+    ])
+    def test_cells_that_no_run_makes_rejected(self, tmp_path, cell, why):
+        # benchmark, n, k, algorithm and variant must name a cell that a
+        # config can ask for
+        trials, _ = self.omm_csvs(tmp_path)
+        header, row, *rest = trials.read_text().splitlines(keepends=True)
+        fields = row.rstrip("\r\n").split(",")
+        fields[:len(cell)] = cell
+        trials.write_text("".join([header, *rest, ",".join(fields) + "\n"]))
+        with pytest.raises(ValueError, match=rf"trials\.csv:3: {why}"):
+            load_results(trials)
+
+    @pytest.mark.parametrize("field,value,why", [
+        # front_covered
+        (-1, "0.31", None), (-1, "-0.5", None), (-1, repr(-1 / 9), None),
+        (-1, "inf", "cannot convert float infinity to integer"),
+        (-1, "nan", "cannot convert float NaN to integer"),
+        (2, "0", None), (2, "-2", None),  # pop_size
+        (5, "-1", None)])  # d_pf
+    def test_impossible_trajectory_fields_rejected(self, tmp_path, field,
+                                                   value, why):
+        # omm n=8 has 9 front values: front_covered must be covered / 9 for
+        # a count covered >= 0 (0.31 is no such fraction, though it rounds
+        # to 3 of 9, and -1/9 is one for a negative count), pop_size at
+        # least 1 and d_pf at least 0
+        why = why or (r"impossible fields: need pop_size >= 1, d_pf >= 0 "
+                      r"and front_covered = covered / 9 for a count "
+                      r"covered >= 0")
+        trials, trajs = self.omm_csvs(tmp_path)
+        header, row, *rest = trajs.read_bytes().split(b"\r\n")
+        fields = row.split(b",")
+        fields[field] = value.encode()
+        trajs.write_bytes(b"\r\n".join([header, b",".join(fields), *rest]))
+        with pytest.raises(ValueError, match=rf"trajectories\.csv:2: {why}"):
+            load_results(trials, trajs)
+
     @pytest.mark.parametrize("evals,iters", [("1", "0"), ("1", "7"),
                                              ("8", "7")])
     def test_extreme_possible_runtimes_load(self, tmp_path, evals, iters):

@@ -312,9 +312,9 @@ def test_full_buffers_are_drained(monkeypatch, kernel, points):
     lengths = []
     real_sample = engine._sample
 
-    def sample(changes, *args):
-        lengths.append(len(changes))
-        return real_sample(changes, *args)
+    def sample(points, *args):
+        lengths.append(len(points) // 6)
+        return real_sample(points, *args)
 
     for (spec, interior), (variant, offset), cutoff, seed in \
             itertools.product(specs(8) + specs(12), SELECTIONS, (37, 3000),
@@ -381,9 +381,9 @@ def test_buffer_that_fills_at_the_cover(monkeypatch, kernel):
     lengths = []
     real_sample = engine._sample
 
-    def sample(changes, *args):
-        lengths.append(len(changes))
-        return real_sample(changes, *args)
+    def sample(points, *args):
+        lengths.append(len(points) // 6)
+        return real_sample(points, *args)
 
     for spec, variant, rig in itertools.product(
             (BenchmarkSpec(Kind.COCZ, 8), BenchmarkSpec(Kind.COCZ, 66),
@@ -469,6 +469,10 @@ def test_struct_layout_matches(kernel, tmp_path):
     names = [name for name, _ in _loop.Loop._fields_]
     # the generator is reached through two pointers into its object
     assert names[:2] == ["mt", "index"]
+    # every array has its byte offset, ahead of the pointers
+    at = names.index("points_at")
+    assert names[at:at + 16] == [f"{name}_at" for name in _loop.ARRAYS] + [
+        *_loop.ARRAYS]
     assert _loop.Loop.index.size == ctypes.sizeof(ctypes.c_void_p)
     probe = tmp_path / "probe.c"
     probe.write_text(
@@ -486,34 +490,6 @@ def test_struct_layout_matches(kernel, tmp_path):
     got = list(zip(names, map(int, out[::2]), map(int, out[1::2])))
     assert got == [(name, getattr(_loop.Loop, name).offset,
                     getattr(_loop.Loop, name).size) for name in names]
-
-
-@needs_compiler
-def test_block_layout_is_checked(kernel):
-    # a run's arrays follow its struct in one block, which the kernel
-    # carves by its own arithmetic; layout() compares every pointer and
-    # the end with the ctypes fields. A kernel that put first_at one int
-    # further on, or that ended elsewhere, is refused
-    class Shifted:
-        def __init__(self, pointer, end):
-            self.pointer, self.end = pointer, end
-
-        def loop_carve(self, ref):
-            end = kernel.loop_carve(ref)
-            probe = ref._obj
-            probe.first_at = ctypes.cast(
-                ctypes.addressof(probe) + type(probe).first_at_.offset
-                + self.pointer, ctypes.POINTER(ctypes.c_int32))
-            return end + self.end
-
-    spec = BenchmarkSpec(Kind.OJZJ, 10, 2)
-    block, image, tabled = _loop.layout(kernel, spec, 11, 3)
-    assert tabled == _loop.tables(spec)
-    assert len(image) == _loop.Loop.points.offset
-    for pointer, end, match in ((4, 0, "first_at at offset"),
-                                (0, 4, "ends at")):
-        with pytest.raises(RuntimeError, match=match):
-            _loop.layout(Shifted(pointer, end), spec, 11, 3)
 
 
 def kernel_class(kernel, spec, ones, g1=0):
