@@ -70,8 +70,7 @@ struct loop {
     int32_t words;           /* 64-bit words per string */
     int32_t half;            /* n/2 on cocz, unused otherwise */
     int32_t slot_draw;       /* slot selection over [0, slot_draw); 0: uniform */
-    int32_t m;               /* population size ... */
-    int32_t slot_count;      /* ... and its bound */
+    int32_t m;               /* population size */
     int32_t front_count;     /* members with a Pareto-optimal value ... */
     int32_t front_size;      /* ... and the count at which they cover the front */
     int32_t span;            /* slot span, for the border distance */

@@ -78,8 +78,7 @@ class Loop(ctypes.Structure):
     _fields_ = [("mt", ctypes.c_void_p), ("index", ctypes.c_void_p),
                 ("n", ctypes.c_int32), ("words", ctypes.c_int32),
                 ("half", ctypes.c_int32), ("slot_draw", ctypes.c_int32),
-                ("m", ctypes.c_int32), ("slot_count", ctypes.c_int32),
-                ("front_count", ctypes.c_int32),
+                ("m", ctypes.c_int32), ("front_count", ctypes.c_int32),
                 ("front_size", ctypes.c_int32), ("span", ctypes.c_int32),
                 ("npoints", ctypes.c_int32), ("cap", ctypes.c_int32),
                 ("t", ctypes.c_int64), ("cutoff", ctypes.c_int64),
@@ -255,10 +254,10 @@ def layout(bspec, slot_draw: int, points: int):
         (f"{name}_", kind) for name, kind in zip(ARRAYS, sizes)]})
     thresholds, classes = tables(bspec)
     probe = block(n=n, words=words, half=n // 2, slot_draw=slot_draw,
-                  slot_count=count, front_size=kern.front_size,
-                  span=kern.slot_span, cap=points, thresholds=thresholds,
-                  classes=classes, **{f"{name}_at": getattr(
-                      block, f"{name}_").offset for name in ARRAYS})
+                  front_size=kern.front_size, span=kern.slot_span,
+                  cap=points, thresholds=thresholds, classes=classes,
+                  **{f"{name}_at": getattr(block, f"{name}_").offset
+                     for name in ARRAYS})
     return block, bytes(probe)[:Loop.points.offset], (thresholds, classes)
 
 

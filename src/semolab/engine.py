@@ -253,11 +253,12 @@ class Trajectory:
     records have equal runs. A run records what changes once; its ticks
     cost one int each.
 
-    Iterated, it gives the tuple of its records in t order, one record per
-    tick: the stored record itself at its own t and a copy with ``t``
-    replaced elsewhere; ``len`` counts the ticks. It compares with a tuple
-    or another ``Trajectory`` record by record, and hashes and prints as
-    the tuple of its records.
+    Iterated, it gives its records in t order, one record per tick: the
+    stored record itself at its own t and a copy with ``t`` replaced
+    elsewhere; ``len`` counts the ticks. It compares with another
+    ``Trajectory`` record by record, and hashes and prints as the tuple of
+    its records. The constructor checks nothing: its callers,
+    ``_sample`` and ``experiments.load_results``, give runs as above.
     """
 
     __slots__ = ("runs", "_len")
@@ -265,24 +266,6 @@ class Trajectory:
     def __init__(self, runs=()):
         self.runs = tuple(runs)
         self._len = sum(map(len, map(itemgetter(1), self.runs)))
-
-    @classmethod
-    def of(cls, records) -> "Trajectory":
-        """The trajectory of ``records``, given in strictly ascending t."""
-        runs: list[tuple[TrajectoryRecord, list[int]]] = []
-        tail = None
-        last_t = None
-        for rec in records:
-            t = rec[0]
-            if last_t is not None and t <= last_t:
-                raise ValueError(f"trajectory records out of t order: "
-                                 f"t={t} after t={last_t}")
-            last_t = t
-            if rec[1:] != tail:
-                tail = rec[1:]
-                runs.append((rec, []))
-            runs[-1][1].append(t)
-        return cls((rec, tuple(ts)) for rec, ts in runs)
 
     def __len__(self) -> int:
         return self._len
@@ -295,8 +278,8 @@ class Trajectory:
                 yield rec if t == own else _new(TrajectoryRecord, (t,) + tail)
 
     def __eq__(self, other):
-        if isinstance(other, (Trajectory, tuple)):
-            return self._len == len(other) and tuple(self) == tuple(other)
+        if isinstance(other, Trajectory):
+            return self._len == other._len and tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -311,11 +294,8 @@ _NO_TRAJECTORY = Trajectory()
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of one run: runtimes, censoring, and sampled trajectory.
-
-    ``trajectory`` is a ``Trajectory``; a tuple or list of records given
-    in its place is stored as one.
-    """
+    """Outcome of one run: runtimes, censoring, and sampled trajectory
+    (a ``Trajectory``, empty for a run without one)."""
 
     benchmark: str
     n: int
@@ -331,11 +311,6 @@ class TrialResult:
     final_front_covered: float
     interior_init: bool = False
     trajectory: Trajectory = _NO_TRAJECTORY
-
-    def __post_init__(self):
-        if type(self.trajectory) is not Trajectory:
-            object.__setattr__(self, "trajectory",
-                               Trajectory.of(self.trajectory))
 
 
 class RunState:

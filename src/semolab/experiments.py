@@ -7,9 +7,11 @@ with the cell identity and trial index, so the result set is a pure
 function of the configuration, independent of scheduling and cell order.
 The data suites are pure functions of a result collection and never
 re-run simulations; the equivalence suite is the exception, and makes its
-own budget runs from its master seed. Suite thresholds come from
-``calibration`` only, and every report embeds the master seed and (for
-the data suites) a configuration hash so its inputs can be regenerated.
+own budget runs from its master seed. Suite and fit thresholds come from
+``calibration`` only: no suite or fit takes one as an argument, so under
+one ``CALIBRATION_VERSION`` a verdict is a function of its inputs. Every
+report embeds the master seed and (for the data suites) a configuration
+hash so its inputs can be regenerated.
 
 numpy, ``scipy.stats`` and ``multiprocessing`` are imported inside the
 functions that call them (``fit_scaling``, ``check_lower_bound_runtime``,
@@ -261,20 +263,15 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> list[TrialResult]:
 @dataclass(frozen=True)
 class ScalingFit:
     """Log-log least squares of per-n median runtimes (evaluations, see
-    ``_runtime_metric``) against a model term.
-
-    ``pure_poly`` regresses log(median) on log(n); ``poly_log`` on the log
-    of the series' reference growth law (``bounds.reference_model``):
-    n^2 ln n for cocz and omm, n^(k+1) for ojzj with the series' gap size.
-    The exponent is the slope, the constant exp(intercept); the CI comes
-    from a trial-level bootstrap of the cell medians.
+    ``_runtime_metric``) against n, the pure-power model: log(median) is
+    regressed on log(n). The exponent is the slope, the constant
+    exp(intercept); the CI comes from a trial-level bootstrap of the cell
+    medians.
     """
 
-    model: str
     exponent: float
     exponent_ci: tuple[float, float]
     constant: float
-    residuals: tuple[float, ...]
     n_grid: tuple[int, ...]
     per_n_median: dict[int, float]
     per_n_iqr: dict[int, tuple[float, float]]
@@ -291,9 +288,10 @@ def _single_series(results: Sequence[TrialResult]) -> None:
         raise ValueError(f"results mix incompatible cells: {sorted(ids)}")
 
 
-def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
-                bootstrap_seed: int = 0) -> ScalingFit:
-    """Fit the growth of median runtimes over the n grid."""
+def fit_scaling(results: Sequence[TrialResult]) -> ScalingFit:
+    """Fit the growth of median runtimes over the n grid with the
+    pure-power model; the bootstrap of its CI draws from seed 0, so a fit
+    is a function of its results alone."""
     import numpy as np
     _single_series(results)
     by_n: dict[int, list[float]] = {}
@@ -316,26 +314,20 @@ def fit_scaling(results: Sequence[TrialResult], model: str = "pure_poly", *,
         iqrs[n] = (float(np.quantile(finite, 0.25)),
                    float(np.quantile(finite, 0.75)))
 
-    kind, k = Kind(results[0].benchmark), results[0].k
-    if model not in ("pure_poly", "poly_log"):
-        raise ValueError(f"unknown scaling model {model!r}")
-    x = np.array([math.log(float(n) if model == "pure_poly"
-                           else reference_model(kind, n, k)) for n in ns])
+    x = np.array([math.log(float(n)) for n in ns])
     y = np.array([math.log(medians[n]) for n in ns])
     slope, intercept = np.polyfit(x, y, 1)
-    residuals = tuple(float(r) for r in (y - (slope * x + intercept)))
 
     bootstrap = cal.BOOTSTRAP_RESAMPLES
     slopes, dropped = _bootstrap_slopes(x, [by_n[n] for n in ns], bootstrap,
-                                        bootstrap_seed)
+                                        seed=0)
     if dropped > bootstrap // 5:
         raise ValueError(
             f"{dropped}/{bootstrap} bootstrap resamples had censored "
             "medians; too much censoring for a stable CI")
     ci = (float(np.quantile(slopes, 0.025)), float(np.quantile(slopes, 0.975)))
-    return ScalingFit(model=model, exponent=float(slope),
-                      exponent_ci=ci, constant=float(math.exp(intercept)),
-                      residuals=residuals, n_grid=tuple(ns),
+    return ScalingFit(exponent=float(slope), exponent_ci=ci,
+                      constant=float(math.exp(intercept)), n_grid=tuple(ns),
                       per_n_median=medians, per_n_iqr=iqrs)
 
 
@@ -442,15 +434,14 @@ def _require_trajectories(results: Sequence[TrialResult], suite: str) -> None:
 
 
 def check_front_spread(results: Sequence[TrialResult],
-                       config: ExperimentConfig, *,
-                       coefficient: float = cal.FRONT_SPREAD_C
-                       ) -> HypothesisReport:
+                       config: ExperimentConfig) -> HypothesisReport:
     """Time to gather a linear number of Pareto-optimal members.
 
     A trial passes when it first holds at least n/4 (cocz) resp. n/2
-    (omm/ojzj) Pareto-optimal members within coefficient*n^2 iterations; a
-    cell passes when ``PASS_FREQUENCY`` of its trials do. A cell whose
-    front holds fewer points than that (ojzj at large k) is an error.
+    (omm/ojzj) Pareto-optimal members within ``FRONT_SPREAD_C``*n^2
+    iterations; a cell passes when ``PASS_FREQUENCY`` of its trials do. A
+    cell whose front holds fewer points than that (ojzj at large k) is an
+    error.
     """
     _require_trajectories(results, "front_spread")
     cells = []
@@ -462,7 +453,7 @@ def check_front_spread(results: Sequence[TrialResult],
         if need > front_size:
             raise ValueError(f"front_spread: {label} needs {need} members, "
                              f"but its front has {front_size} points")
-        budget = int(growth_law("n2", n, coefficient=coefficient))
+        budget = int(growth_law("n2", n, coefficient=cal.FRONT_SPREAD_C))
         passes = 0
         for r in group:
             hit = next((ts[0] for rec, ts in r.trajectory.runs
@@ -475,18 +466,17 @@ def check_front_spread(results: Sequence[TrialResult],
         hypothesis="front_spread", threshold=cal.PASS_FREQUENCY,
         cells=tuple(cells), master_seed=config.master_seed,
         config_hash=config_hash(config),
-        notes=f"budget coefficient {coefficient:.4g} (calibrated)")
+        notes=f"budget coefficient {cal.FRONT_SPREAD_C:.4g} (calibrated)")
 
 
 def check_border_distance(results: Sequence[TrialResult],
-                          config: ExperimentConfig, *,
-                          coefficient: float = cal.BORDER_DISTANCE_C
-                          ) -> HypothesisReport:
+                          config: ExperimentConfig) -> HypothesisReport:
     """Persistence of the distance to the extremal front points.
 
-    A trial passes when every sampled iteration t <= floor(c*n^2*ln n) has
-    population border distance >= sqrt(n) (>= max(sqrt(n), k) for ojzj);
-    a cell passes when ``PASS_FREQUENCY`` of its trials do.
+    A trial passes when every sampled iteration t <= floor(c*n^2*ln n),
+    c = ``BORDER_DISTANCE_C``, has population border distance >= sqrt(n)
+    (>= max(sqrt(n), k) for ojzj); a cell passes when ``PASS_FREQUENCY``
+    of its trials do.
     """
     _require_trajectories(results, "border_distance")
     cells = []
@@ -496,8 +486,9 @@ def check_border_distance(results: Sequence[TrialResult],
     for label, group in group_by_cell(results).items():
         n = group[0].n
         k = group[0].k
-        # the same point as the checkpoint border:n2_log:<coefficient>
-        horizon = int(growth_law("n2_log", n, coefficient=coefficient))
+        # the same point as the checkpoint border:n2_log:BORDER_DISTANCE_C
+        horizon = int(growth_law("n2_log", n,
+                                 coefficient=cal.BORDER_DISTANCE_C))
         if not horizon:
             unjudged.add(n)
         bar = math.sqrt(n)
@@ -512,8 +503,8 @@ def check_border_distance(results: Sequence[TrialResult],
                 passes += 1
         cells.append(CellOutcome(label, passes, len(group), cal.PASS_FREQUENCY,
                                  detail=f"d_pf>={bar:.3g} through t<={horizon}"))
-    notes = (f"horizon coefficient {coefficient:.4g} (calibrated, not a "
-             "theoretical constant)")
+    notes = (f"horizon coefficient {cal.BORDER_DISTANCE_C:.4g} (calibrated, "
+             "not a theoretical constant)")
     if unjudged:
         notes += (f"; horizon 0 at n={', '.join(map(str, sorted(unjudged)))}"
                   ": only t=0 is judged there")
@@ -524,24 +515,23 @@ def check_border_distance(results: Sequence[TrialResult],
 
 
 def check_lower_bound_runtime(results: Sequence[TrialResult],
-                              config: ExperimentConfig, *,
-                              epsilon: Optional[float] = None,
-                              check_ratios: bool = True) -> HypothesisReport:
+                              config: ExperimentConfig) -> HypothesisReport:
     """Growth-shape gate for cover times, in evaluations.
 
-    Per grid point, the 10% runtime quantile must exceed epsilon*model(n);
-    per grid doubling, the median ratio must land in the calibrated
-    ``DOUBLING_RATIO_WINDOW`` (skipped with ``check_ratios=False``; the
-    heavy-tailed gap benchmarks make desk-scale median ratios too noisy
-    for a hard gate). Censored runtimes enter the q10 at their cutoff
-    value (conservative) and poison medians (reported as failures).
+    Per grid point, the 10% runtime quantile must exceed epsilon*model(n),
+    epsilon from ``LOWER_BOUND_EPSILON``; per grid doubling, the median
+    ratio must land in the calibrated ``DOUBLING_RATIO_WINDOW``. Each is a
+    cell of its own (``:q10`` and ``:ratio``), so a caller can read the q10
+    floors apart: the heavy-tailed gap benchmarks make desk-scale median
+    ratios too noisy for a hard gate. Censored runtimes enter the q10 at
+    their cutoff value (conservative) and poison medians (reported as
+    failures).
     """
     import numpy as np
     _single_series(results)
     sample = results[0]
     kind = Kind(sample.benchmark)
-    if epsilon is None:
-        epsilon = cal.LOWER_BOUND_EPSILON[sample.benchmark]
+    epsilon = cal.LOWER_BOUND_EPSILON[sample.benchmark]
     by_n: dict[int, list[TrialResult]] = {}
     for r in results:
         by_n.setdefault(r.n, []).append(r)
@@ -562,17 +552,15 @@ def check_lower_bound_runtime(results: Sequence[TrialResult],
         cells.append(CellOutcome(
             f"{sample.benchmark},n={n}:q10", int(ok), 1, 1.0,
             detail=f"q10={q10:.0f} vs floor {floor_value:.0f}"))
-    if check_ratios:
-        ns = sorted(medians)
-        lo, hi = cal.DOUBLING_RATIO_WINDOW[sample.benchmark]
-        for n in ns:
-            if 2 * n not in medians:
-                continue
-            ratio = medians[2 * n] / medians[n]
-            ok = math.isfinite(ratio) and lo <= ratio <= hi
-            cells.append(CellOutcome(
-                f"{sample.benchmark},n={n}->{2 * n}:ratio", int(ok), 1, 1.0,
-                detail=f"median ratio {ratio:.3g}, window [{lo}, {hi}]"))
+    lo, hi = cal.DOUBLING_RATIO_WINDOW[sample.benchmark]
+    for n in sorted(medians):
+        if 2 * n not in medians:
+            continue
+        ratio = medians[2 * n] / medians[n]
+        ok = math.isfinite(ratio) and lo <= ratio <= hi
+        cells.append(CellOutcome(
+            f"{sample.benchmark},n={n}->{2 * n}:ratio", int(ok), 1, 1.0,
+            detail=f"median ratio {ratio:.3g}, window [{lo}, {hi}]"))
     return HypothesisReport(
         hypothesis="lower_bound_runtime", threshold=1.0, cells=tuple(cells),
         master_seed=config.master_seed, config_hash=config_hash(config),
@@ -708,22 +696,18 @@ def check_equivalence_modified_original(
 
 
 def check_scaling_exponent(results: Sequence[TrialResult],
-                           config: ExperimentConfig, *,
-                           window: Optional[tuple[float, float]] = None
+                           config: ExperimentConfig
                            ) -> tuple[HypothesisReport, ScalingFit]:
     """Fit the runtime growth with the pure-power model and gate the fitted
     exponent.
 
     n^2 log n data lands a little above exponent 2 and n^(k+1) data near
-    k+1; the accepted windows come from the calibration defaults unless
-    given explicitly.
+    k+1; the accepted windows are the calibrated ``EXPONENT_WINDOW``.
     """
     _single_series(results)
     benchmark = results[0].benchmark
-    if window is None:
-        window = cal.EXPONENT_WINDOW[benchmark]
     fit = fit_scaling(results)
-    lo, hi = window
+    lo, hi = cal.EXPONENT_WINDOW[benchmark]
     ok = lo <= fit.exponent <= hi
     cell = CellOutcome(
         f"{benchmark},exponent:pure_poly", int(ok), 1, 1.0,
@@ -829,10 +813,14 @@ def load_results(trials_path, trajectories_path=None, *,
     ``write_trajectories_csv`` writes: a trial's rows are contiguous and
     strictly increasing in t. A trial whose rows are split by another
     trial's raises ``ValueError`` naming the file and line, and one whose
-    t repeats or goes back raises it naming the file and the trial, and a
-    row with ``pop_size < 1``, ``d_pf < 0`` or a ``front_covered`` that is
-    not covered / front size for a count covered >= 0 raises it naming
-    the file and line. The rows are parsed once per run of equal records:
+    t repeats or goes back raises it naming the file and the trial. A row
+    with fields that no run records raises it naming the file and line:
+    a ``pop_size`` outside [1, slot count], a ``d_pf`` outside [0, slot
+    span // 2], a ``front_covered`` that is not covered / front size for
+    a count covered in [0, min(pop_size, front size)], ``max_g1`` or
+    ``z_count`` set off cocz, or on cocz a ``max_g1`` outside [0, n/2] or
+    a ``z_count`` outside [1, pop_size], empty included. The rows are
+    parsed once per run of equal records:
     a row whose text after ``t`` equals the previous row's of the same
     trial adds only its t to that row's run, and each run's record is
     built once, by ``engine.as_record``, as ``run`` builds it.
@@ -907,22 +895,39 @@ def load_results(trials_path, trajectories_path=None, *,
                                          f"are split by rows of trial "
                                          f"{tid!r}")
                     tid, text, fields = row_tid, None, None
-                    front_size = BenchmarkSpec(
-                        Kind(ref.benchmark), ref.n, ref.k).front_size
+                    spec = BenchmarkSpec(Kind(ref.benchmark), ref.n, ref.k)
+                    front_size, slots = spec.front_size, spec.slot_count
+                    d_max, half = spec.slot_span // 2, spec.n // 2
+                    cocz = spec.kind is Kind.COCZ
                     runs = by_tid[tid] = []
                 if rest != text:
                     pop_size, max_g1, z_count, d_pf, frac = rest.split(",")
                     front_covered = float(frac)
                     size, d, covered = (int(pop_size), int(d_pf),
                                         round(front_covered * front_size))
-                    if (size < 1 or d < 0 or covered < 0
+                    # the bounds that point() and the kernel's record()
+                    # keep: a member per slot, d_pf at most half the span,
+                    # covered values held by members of the front
+                    if (not 1 <= size <= slots or not 0 <= d <= d_max
+                            or not 0 <= covered <= min(size, front_size)
                             or covered / front_size != front_covered):
                         raise ValueError(
-                            f"impossible fields: need pop_size >= 1, "
-                            f"d_pf >= 0 and front_covered = covered / "
-                            f"{front_size} for a count covered >= 0")
-                    tail = (size, int(max_g1) if max_g1 else -1,
-                            int(z_count) if z_count else -1, d, covered)
+                            f"impossible fields: need 1 <= pop_size <= "
+                            f"{slots}, 0 <= d_pf <= {d_max} and "
+                            f"front_covered = covered / {front_size} for a "
+                            f"count 0 <= covered <= min(pop_size, "
+                            f"{front_size})")
+                    # empty stands for None, which point() writes as -1
+                    g1 = int(max_g1) if max_g1 else -1
+                    z = int(z_count) if z_count else -1
+                    if cocz and not (0 <= g1 <= half and 1 <= z <= size):
+                        raise ValueError(
+                            f"impossible fields: need 0 <= max_g1 <= {half} "
+                            "and 1 <= z_count <= pop_size on cocz")
+                    if not cocz and (max_g1 or z_count):
+                        raise ValueError("max_g1 and z_count must be empty "
+                                         f"on {spec.kind.value}")
+                    tail = (size, g1, z, d, covered)
                     text = rest
                     if tail != fields:
                         fields, ts = tail, []
@@ -987,7 +992,7 @@ def write_report_csv(reports: Sequence[HypothesisReport],
         for fit in fits:
             lo, hi = fit.exponent_ci
             writer.writerow([
-                f"fit_scaling:{fit.model}", "exponent", "", "",
+                "fit_scaling:pure_poly", "exponent", "", "",
                 f"{fit.exponent:.4f}", "", "",
                 f"ci=[{lo:.4f},{hi:.4f}] constant={fit.constant:.6g} "
                 "metric=evals"])
@@ -1008,7 +1013,7 @@ def summarize(reports: Sequence[HypothesisReport],
             lines.append(f"    note: {rep.notes}")
     for fit in fits:
         lo, hi = fit.exponent_ci
-        lines.append(f"[FIT ] {fit.model} on evals: exponent "
+        lines.append("[FIT ] pure_poly on evals: exponent "
                      f"{fit.exponent:.4f} (CI [{lo:.4f}, {hi:.4f}]), "
                      f"constant {fit.constant:.6g}")
         for n in fit.n_grid:

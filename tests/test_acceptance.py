@@ -70,13 +70,13 @@ def scaling_battery(benchmark, master_seed):
                               record_trajectories=False)
     results = run_grid(config)
     runtime_gate = check_lower_bound_runtime(results, config)
-    exponent_gate, fit = check_scaling_exponent(results, config,
-                                                window=(1.9, 2.4))
+    exponent_gate, fit = check_scaling_exponent(results, config)
     ratios = [fit.per_n_median[2 * n] / fit.per_n_median[n]
               for n in (32, 64, 128)]
+    lo, hi = cal.EXPONENT_WINDOW[benchmark]
     detail = (f"medians {[round(fit.per_n_median[n]) for n in fit.n_grid]}, "
               f"ratios {[round(r, 2) for r in ratios]}, "
-              f"exponent {fit.exponent:.3f} in [1.9, 2.4]")
+              f"exponent {fit.exponent:.3f} in [{lo}, {hi}]")
     ok = runtime_gate.passed and exponent_gate.passed
     return ok, detail, runtime_gate, exponent_gate
 
@@ -126,7 +126,9 @@ def test_criterion_04_border_distance(modified_cocz_results):
 
 
 def test_criterion_06_ojzj_lower_bound_shape():
-    """GSEMO/ojzj k=2: cubic-fit exponent and q10 floor per cell.
+    """GSEMO/ojzj k=2: cubic-fit exponent and q10 floor per cell; the
+    doubling-ratio cells of the runtime gate are not judged here, because
+    desk-scale median ratios of a heavy-tailed cover time are too noisy.
 
     The exponent estimator (a 4-point fit of medians of a heavy-tailed
     cover time) has a seed-level spread of about +/-0.26 around 3.37 at 50
@@ -137,15 +139,16 @@ def test_criterion_06_ojzj_lower_bound_shape():
                               50, 328, ks=(2,),
                               record_trajectories=False)
     results = run_grid(config)
-    q10_gate = check_lower_bound_runtime(results, config, epsilon=0.05,
-                                         check_ratios=False)
-    exponent_gate, fit = check_scaling_exponent(results, config,
-                                                window=(2.6, 3.5))
-    ok = q10_gate.passed and exponent_gate.passed
-    detail = (f"exponent {fit.exponent:.3f} in [2.6, 3.5]; q10 floors: "
-              + "; ".join(c.detail for c in q10_gate.cells))
+    q10_cells = [c for c in check_lower_bound_runtime(results, config).cells
+                 if c.cell.endswith(":q10")]
+    exponent_gate, fit = check_scaling_exponent(results, config)
+    q10_ok = len(q10_cells) == 4 and all(c.ok for c in q10_cells)
+    ok = q10_ok and exponent_gate.passed
+    lo, hi = cal.EXPONENT_WINDOW["ojzj"]
+    detail = (f"exponent {fit.exponent:.3f} in [{lo}, {hi}]; q10 floors: "
+              + "; ".join(c.detail for c in q10_cells))
     assert verdict_line(6, ok, detail)
-    assert q10_gate.passed, q10_gate
+    assert q10_ok, q10_cells
     assert exponent_gate.passed, exponent_gate
 
 

@@ -497,7 +497,7 @@ class TestStepLoopEquivalence:
                         expected.append(measure(state))
                 if expected[-1].t != state.t:
                     expected.append(measure(state))
-                assert res.trajectory == tuple(expected)
+                assert tuple(res.trajectory) == tuple(expected)
                 assert res.runtime_evals == state.evaluations
                 final = expected[-1]
                 assert (res.final_pop_size, res.final_covered,
@@ -589,11 +589,21 @@ def test_run_until_cover_fingerprint_python_loop(monkeypatch):
     test_run_until_cover_fingerprint()
 
 
+# the benchmark of the synthetic change points and trials below: omm
+# n=119, whose 120 slots hold up to 120 members at a border distance of up
+# to 59, so up to 60 change points can each have their own pop_size and
+# d_pf
+SYNTHETIC = BenchmarkSpec(Kind.OMM, 119)
+FRONT_SIZE = SYNTHETIC.front_size
+
+
 def change_points(*points):
-    """Synthetic change points from (t, covered) pairs; every other field
-    differs between two points, so a record taken from the wrong one shows."""
-    return [engine.TrajectoryRecord(t, i + 1, i, None, 100 + i, covered,
-                                    covered / 10)
+    """Synthetic change points of ``SYNTHETIC`` from (t, covered) pairs, in
+    which covered grows by at most one per point from at most 1; pop_size
+    and d_pf differ between two points, so a record taken from the wrong
+    one shows."""
+    return [engine.TrajectoryRecord(t, i + 1, None, None, 59 - i, covered,
+                                    covered / FRONT_SIZE)
             for i, (t, covered) in enumerate(points)]
 
 
@@ -609,10 +619,9 @@ def records(points, front_size):
             for i in range(0, len(points), 6)]
 
 
-def sample_records(changes, end, period, sample_at, front_size=10):
-    """``_sample`` of change point records, on ``change_points``' front of
-    10 values unless told otherwise."""
-    return engine._sample(flat(changes), end, period, sample_at, front_size)
+def sample_records(changes, end, period, sample_at):
+    """``_sample`` of change point records on ``SYNTHETIC``'s front."""
+    return engine._sample(flat(changes), end, period, sample_at, FRONT_SIZE)
 
 
 def replay_schedule(changes, end, period, sample_at, max_iters):
@@ -695,8 +704,8 @@ class TestSampleSchedule:
     def test_matches_replay(self, points, end, period, sample_at, max_iters):
         changes = change_points(*points)
         got = sample_records(changes, end, period, sample_at)
-        assert got == replay_schedule(changes, end, period, sample_at,
-                                      max_iters)
+        assert tuple(got) == replay_schedule(changes, end, period, sample_at,
+                                             max_iters)
         for rec in got:  # a record at a change point is that change point
             if any(c.t == rec.t for c in changes):
                 assert any(rec == c for c in changes)
@@ -705,8 +714,8 @@ class TestSampleSchedule:
     def test_matches_replay_random(self):
         for changes, end, period, sample_at, max_iters in random_schedules():
             got = sample_records(changes, end, period, sample_at)
-            assert got == replay_schedule(changes, end, period, sample_at,
-                                          max_iters)
+            assert tuple(got) == replay_schedule(changes, end, period,
+                                                 sample_at, max_iters)
             assert_runs_well_formed(got, changes)
 
     @pytest.mark.parametrize("record", [True, False])
@@ -784,14 +793,13 @@ def python_loop_inserts(monkeypatch, *args, **kwargs) -> int:
     return inserts
 
 
-def omm9_trial(trajectory, end):
-    """A trial of omm n=9 (10 front values, as ``change_points`` assumes)
-    that ran to t = ``end``."""
+def synthetic_trial(trajectory, end):
+    """A trial of ``SYNTHETIC`` that ran to t = ``end``."""
     return engine.TrialResult(
-        benchmark="omm", n=9, k=None, algorithm="gsemo", variant="original",
-        seed=0, runtime_evals=end + 1, runtime_iters=end, censored=False,
-        final_pop_size=1, final_covered=1, final_front_covered=0.1,
-        trajectory=trajectory)
+        benchmark="omm", n=SYNTHETIC.n, k=None, algorithm="gsemo",
+        variant="original", seed=0, runtime_evals=end + 1, runtime_iters=end,
+        censored=False, final_pop_size=1, final_covered=1,
+        final_front_covered=1 / FRONT_SIZE, trajectory=trajectory)
 
 
 def write_and_load(results, directory):
@@ -804,14 +812,14 @@ def write_and_load(results, directory):
 
 def record_of(t, pop_size, d_pf, covered):
     return engine.TrajectoryRecord(t, pop_size, None, None, d_pf, covered,
-                                   covered / 10)
+                                   covered / FRONT_SIZE)
 
 
 # change points of which neighbours share their fields (t=0 and 2, t=5 and
 # 6) or differ only in the covered count (t=6 and 9)
-MERGING_CHANGES = [record_of(0, 1, 3, 1), record_of(2, 1, 3, 1),
-                   record_of(5, 2, 3, 2), record_of(6, 2, 3, 2),
-                   record_of(9, 2, 3, 3)]
+MERGING_CHANGES = [record_of(0, 2, 3, 1), record_of(2, 2, 3, 1),
+                   record_of(5, 3, 3, 2), record_of(6, 3, 3, 2),
+                   record_of(9, 3, 3, 3)]
 # (end, period, sample_at) of the run they end, at the cutoff 20
 MERGING_RUN = (12, 4, (3,))
 
@@ -823,10 +831,10 @@ class TestTrajectory:
     def test_equal_neighbours_share_a_run(self, tmp_path):
         traj = self.merged()
         records = replay_schedule(MERGING_CHANGES, *MERGING_RUN, 20)
-        assert traj == records
+        assert tuple(traj) == records
         assert [ts for _, ts in traj.runs] == [(0, 3, 4), (5, 8), (9, 12)]
         assert [rec.t for rec, _ in traj.runs] == [0, 5, 9]
-        (loaded,) = write_and_load([omm9_trial(traj, 12)], tmp_path)
+        (loaded,) = write_and_load([synthetic_trial(traj, 12)], tmp_path)
         assert loaded == traj
         assert loaded.runs == traj.runs
 
@@ -848,50 +856,44 @@ class TestTrajectory:
         assert any(a[1:] == b[1:] for changes, _ in seen
                    for a, b in zip(changes, changes[1:]))
         for res, (changes, args) in zip(results, seen):
-            assert res.trajectory == replay_schedule(changes, *args,
-                                                     alg.cutoff(spec))
+            assert tuple(res.trajectory) == replay_schedule(
+                changes, *args, alg.cutoff(spec))
         assert write_and_load(results, tmp_path) == \
             [r.trajectory for r in results]
 
     def test_round_trip_random_schedules(self, tmp_path):
         for changes, end, period, sample_at, max_iters in random_schedules():
             traj = sample_records(changes, end, period, sample_at)
-            (loaded,) = write_and_load([omm9_trial(traj, end)], tmp_path)
+            (loaded,) = write_and_load([synthetic_trial(traj, end)], tmp_path)
             assert loaded == traj
             assert tuple(loaded) == tuple(traj)
 
     def test_tuple_equality_and_hash(self):
+        # trajectories compare record by record, whatever t their runs'
+        # records hold, and hash as the tuple of their records; a tuple is
+        # not a trajectory
         traj = self.merged()
         records = tuple(traj)
-        assert traj == records and records == traj
-        assert not traj != records and not records != traj
-        assert traj != records[:-1] and records[:-1] != traj
-        assert traj != list(records)
-        assert hash(traj) == hash(records)
-        assert engine.Trajectory.of(records) == traj
-        assert engine.Trajectory.of(records[1:]) != traj
-        moved = records[:-1] + (records[-1]._replace(d_pf=4),)
-        assert engine.Trajectory.of(moved) != traj
-        trial = omm9_trial(traj, 12)
-        assert omm9_trial(list(records), 12) == trial
-        assert hash(omm9_trial(records, 12)) == hash(trial)
-        assert type(omm9_trial(records, 12).trajectory) is engine.Trajectory
+        copied = engine.Trajectory((rec._replace(t=-1), ts)
+                                   for rec, ts in traj.runs)
+        assert copied.runs != traj.runs
+        assert traj == copied and not traj != copied
+        assert hash(traj) == hash(copied) == hash(records)
+        assert traj != records and records != traj
+        (first, ts), *rest = traj.runs
+        assert engine.Trajectory([(first, ts[1:]), *rest]) != traj
+        moved = [*traj.runs[:-1], (traj.runs[-1][0]._replace(d_pf=4),
+                                   traj.runs[-1][1])]
+        assert engine.Trajectory(moved) != traj
+        trial = synthetic_trial(traj, 12)
+        assert synthetic_trial(copied, 12) == trial
+        assert hash(synthetic_trial(copied, 12)) == hash(trial)
 
     def test_repr_is_the_tuples(self):
         traj = self.merged()
         assert repr(traj) == repr(tuple(traj))
         assert repr(engine.Trajectory()) == "()"
         assert not engine.Trajectory() and len(engine.Trajectory()) == 0
-
-    def test_records_out_of_order_rejected(self):
-        records = tuple(self.merged())
-        with pytest.raises(ValueError, match="t order"):
-            engine.Trajectory.of(records[::-1])
-        # a repeated t, with the same fields or with others
-        for again in (records[1], records[1]._replace(pop_size=11)):
-            with pytest.raises(ValueError, match=rf"t={again.t} after "
-                                                 rf"t={again.t}$"):
-                engine.Trajectory.of(records[:2] + (again,) + records[2:])
 
     def test_runs_per_insert(self, monkeypatch):
         # the trajectory is stored per change point, not per tick: at most

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -30,12 +31,14 @@ from semolab.experiments import (CONFIG_KEYS, WRITE_TICKS, Checkpoint,
 def synthetic(benchmark="cocz", n=32, k=None, runtime=1000.0, censored=False,
               algorithm="gsemo", variant="original", seed=0, trajectory=(),
               interior=False):
+    """A trial whose trajectory holds each of the records ``trajectory``
+    (in ascending t) at its own t."""
     return TrialResult(
         benchmark=benchmark, n=n, k=k, algorithm=algorithm, variant=variant,
         seed=seed, runtime_evals=runtime, runtime_iters=runtime,
         censored=censored, final_pop_size=1, final_covered=0,
         final_front_covered=0.0, interior_init=interior,
-        trajectory=tuple(trajectory))
+        trajectory=engine.Trajectory((rec, (rec.t,)) for rec in trajectory))
 
 
 def record(t, covered=0, d_pf=10, pop_size=1, front_size=17):
@@ -270,32 +273,13 @@ class TestRunGrid:
 
 
 class TestFitScaling:
-    def test_exact_poly_log_recovery(self):
-        results = [synthetic(n=n, runtime=7.0 * n * n * math.log(n), seed=t)
-                   for n in (32, 64, 128, 256) for t in range(5)]
-        fit = fit_scaling(results, "poly_log")
-        assert fit.exponent == pytest.approx(1.0, abs=1e-9)
-        assert fit.constant == pytest.approx(7.0, abs=1e-6)
-        assert max(abs(r) for r in fit.residuals) < 1e-9
-        assert fit.exponent_ci[0] == pytest.approx(1.0, abs=1e-9)
-
     def test_exact_cubic_recovery(self):
         results = [synthetic(benchmark="ojzj", k=2, n=n, runtime=float(n) ** 3,
                              seed=t)
                    for n in (12, 16, 20, 24) for t in range(4)]
-        fit = fit_scaling(results, "pure_poly")
+        fit = fit_scaling(results)
         assert fit.exponent == pytest.approx(3.0, abs=1e-2)
         assert fit.exponent == pytest.approx(3.0, abs=1e-9)
-
-    def test_ojzj_poly_log_uses_gap_size(self):
-        # the poly_log term of an ojzj series is n^(k+1), not n^2 ln n
-        results = [synthetic(benchmark="ojzj", k=2, n=n,
-                             runtime=5.0 * float(n) ** 3, seed=t)
-                   for n in (12, 16, 20, 24) for t in range(4)]
-        fit = fit_scaling(results, "poly_log")
-        assert fit.exponent == pytest.approx(1.0, abs=1e-9)
-        assert fit.constant == pytest.approx(5.0, abs=1e-6)
-        assert max(abs(r) for r in fit.residuals) < 1e-9
 
     def test_needs_three_points(self):
         results = [synthetic(n=n, seed=t) for n in (8, 16) for t in range(3)]
@@ -319,7 +303,7 @@ class TestFitScaling:
     def test_iqr_and_medians_reported(self):
         results = [synthetic(n=n, runtime=n * n + t, seed=t)
                    for n in (8, 16, 32) for t in range(5)]
-        fit = fit_scaling(results, "pure_poly")
+        fit = fit_scaling(results)
         assert set(fit.per_n_median) == {8, 16, 32}
         assert fit.per_n_iqr[8][0] <= fit.per_n_median[8] <= fit.per_n_iqr[8][1]
 
@@ -369,6 +353,8 @@ class TestBootstrap:
              ((8, 12, 8), (1, 2, 2))]
 
     @pytest.mark.parametrize("sizes,censored", GRIDS)
+    # the x of the fitted line: log n, as fit_scaling takes it, or the log
+    # of the reference growth law, another x that _bootstrap_slopes takes
     @pytest.mark.parametrize("model", ["pure_poly", "poly_log"])
     def test_matches_reference(self, sizes, censored, model):
         import numpy as np
@@ -389,9 +375,10 @@ class TestBootstrap:
                 [float(s).hex() for s in want]
             if any(censored):
                 assert dropped > 0
-            fit = fit_scaling(results, model, bootstrap_seed=seed)
-            assert fit.exponent_ci == (float(np.quantile(want, 0.025)),
-                                       float(np.quantile(want, 0.975)))
+            if model == "pure_poly" and seed == 0:
+                fit = fit_scaling(results)  # its bootstrap draws from seed 0
+                assert fit.exponent_ci == (float(np.quantile(want, 0.025)),
+                                           float(np.quantile(want, 0.975)))
 
     def test_dropped_count_in_the_error(self):
         import numpy as np
@@ -414,7 +401,7 @@ def spread_config(**kw):
 
 class TestFrontSpread:
     def test_pass_and_fail_counting(self):
-        # omm n=16 needs ceil(n/2)=8 members within c*n^2
+        # omm n=16 needs ceil(n/2)=8 members within 30e*n^2, t=20876
         fast = synthetic(benchmark="omm", n=16, variant="modified",
                          trajectory=[record(0, covered=1),
                                      record(40, covered=8)])
@@ -422,11 +409,11 @@ class TestFrontSpread:
                          trajectory=[record(0, covered=1),
                                      record(10 ** 6, covered=8)])
         config = spread_config()
-        report = check_front_spread([fast, slow], config, coefficient=1.0)
+        report = check_front_spread([fast, slow], config)
         assert report.verdict == "FAIL"
         (cell,) = report.cells
         assert cell.passes == 1 and cell.trials == 2
-        report = check_front_spread([fast], config, coefficient=1.0)
+        report = check_front_spread([fast], config)
         assert report.verdict == "PASS"
         assert report.config_hash == config_hash(config)
 
@@ -434,7 +421,7 @@ class TestFrontSpread:
         never = synthetic(benchmark="omm", n=16, variant="modified",
                           trajectory=[record(0, covered=1),
                                       record(500, covered=3)])
-        report = check_front_spread([never], spread_config(), coefficient=1e9)
+        report = check_front_spread([never], spread_config())
         assert report.verdict == "FAIL"
 
     def test_missing_trajectory_is_config_error(self):
@@ -457,22 +444,24 @@ class TestFrontSpread:
         # k=2 leaves 15 points, and the same trial passes
         narrow = replace(wide, k=2)
         assert check_front_spread([narrow], spread_config(
-            benchmark="ojzj", ks=(2,)), coefficient=1.0).verdict == "PASS"
+            benchmark="ojzj", ks=(2,))).verdict == "PASS"
 
 
 class TestBorderDistance:
     def test_min_over_sampled_prefix(self):
-        # horizon for n=16, c=0.1: floor(0.1*256*ln 16) = 70
-        config = spread_config()
-        good = synthetic(benchmark="omm", n=16, variant="modified",
-                         trajectory=[record(0, d_pf=8), record(70, d_pf=5),
-                                     record(500, d_pf=0)])
-        bad = synthetic(benchmark="omm", n=16, variant="modified", seed=1,
-                        trajectory=[record(0, d_pf=8), record(50, d_pf=3),
-                                    record(70, d_pf=8)])
-        report = check_border_distance([good, bad], config, coefficient=0.1)
-        assert report.verdict == "FAIL"  # bad dips below sqrt(16)=4 at t=50
-        report = check_border_distance([good], config, coefficient=0.1)
+        # horizon for n=128, c=0.001: floor(0.001*128^2*ln 128) = 79
+        config = spread_config(ns=(128,))
+        good = synthetic(benchmark="omm", n=128, variant="modified",
+                         trajectory=[record(0, d_pf=20), record(79, d_pf=12),
+                                     record(80, d_pf=0)])
+        bad = synthetic(benchmark="omm", n=128, variant="modified", seed=1,
+                        trajectory=[record(0, d_pf=20), record(50, d_pf=11),
+                                    record(79, d_pf=20)])
+        report = check_border_distance([good, bad], config)
+        assert report.cells[0].detail == "d_pf>=11.3 through t<=79"
+        # bad dips below sqrt(128) = 11.3 at t=50
+        assert report.verdict == "FAIL"
+        report = check_border_distance([good], config)
         assert report.verdict == "PASS"
 
     def test_zero_horizon_is_named(self):
@@ -483,13 +472,12 @@ class TestBorderDistance:
         results = [synthetic(benchmark="omm", n=n, variant="modified",
                              trajectory=[record(0, d_pf=d_pf)])
                    for n, d_pf in ((8, 1), (16, 4), (20, 5))]
-        report = check_border_distance(results, config, coefficient=0.001)
+        report = check_border_distance(results, config)
         assert report.notes.endswith(
             "; horizon 0 at n=8, 16: only t=0 is judged there")
         assert [c.ok for c in report.cells] == [False, True, True]
         assert report.verdict == "FAIL"
-        report = check_border_distance(results[2:], config,
-                                       coefficient=0.001)
+        report = check_border_distance(results[2:], config)
         assert "horizon 0" not in report.notes
         assert report.verdict == "PASS"
 
@@ -499,7 +487,7 @@ class TestBorderDistance:
                                   ks=(6,))
         r = synthetic(benchmark="ojzj", n=24, k=6, variant="modified",
                       trajectory=[record(0, d_pf=5)])
-        report = check_border_distance([r], config, coefficient=0.001)
+        report = check_border_distance([r], config)
         assert report.verdict == "FAIL"  # 5 >= sqrt(24) but < k=6
 
 
@@ -514,21 +502,26 @@ class TestLowerBoundRuntime:
 
     def test_cubic_data_passes(self):
         report = check_lower_bound_runtime(self.make(lambda n: 2.0 * n ** 3),
-                                           self.config(), epsilon=0.05)
+                                           self.config())
         assert report.verdict == "PASS"
         labels = [c.cell for c in report.cells]
         assert any("q10" in l for l in labels)
         assert any("ratio" in l for l in labels)
 
     def test_flat_data_fails_ratio(self):
+        # 5000 clears every floor, 0.05 * n^3 <= 692, but not the doubling
         report = check_lower_bound_runtime(self.make(lambda n: 5000.0),
-                                           self.config(), epsilon=1e-9)
+                                           self.config())
         assert report.verdict == "FAIL"
+        assert [c.cell for c in report.cells if not c.ok] == [
+            "ojzj,n=12->24:ratio"]
 
     def test_small_data_fails_q10(self):
         report = check_lower_bound_runtime(self.make(lambda n: 0.01 * n ** 3),
-                                           self.config(), epsilon=0.05)
+                                           self.config())
         assert report.verdict == "FAIL"
+        assert [c.cell for c in report.cells if not c.ok] == [
+            f"ojzj,n={n}:q10" for n in (12, 16, 20, 24)]
 
     def test_majority_censoring_rejected(self):
         results = [synthetic(benchmark="ojzj", k=2, n=12, runtime=100,
@@ -640,18 +633,17 @@ class TestEquivalence:
 
 class TestScalingExponentGate:
     def test_synthetic_gate(self):
-        results = [synthetic(benchmark="ojzj", k=2, n=n, runtime=float(n) ** 3,
-                             seed=t)
-                   for n in (12, 16, 20, 24) for t in range(4)]
+        # the ojzj window is [2.6, 3.5]
         config = ExperimentConfig("ojzj", "gsemo", "original",
                                   (12, 16, 20, 24), 4, 0, ks=(2,),
                                   record_trajectories=False)
-        report, fit = check_scaling_exponent(results, config,
-                                             window=(2.6, 3.5))
-        assert report.verdict == "PASS"
-        assert fit.exponent == pytest.approx(3.0, abs=1e-9)
-        report, _ = check_scaling_exponent(results, config, window=(3.2, 3.5))
-        assert report.verdict == "FAIL"
+        for power, verdict in ((3.0, "PASS"), (2.5, "FAIL"), (3.6, "FAIL")):
+            results = [synthetic(benchmark="ojzj", k=2, n=n,
+                                 runtime=float(n) ** power, seed=t)
+                       for n in (12, 16, 20, 24) for t in range(4)]
+            report, fit = check_scaling_exponent(results, config)
+            assert report.verdict == verdict
+            assert fit.exponent == pytest.approx(power, abs=1e-9)
 
 
 # small grids covering every trajectory column form: cocz (max_g1 and
@@ -669,6 +661,37 @@ CSV_FINGERPRINT_GRIDS = [
 # to detect any change to the file format or the recorded trajectories
 CSV_FINGERPRINT = ("e33647c11b63cb33a6f97a9a9f6026d4"
                    "49a71cdfbd3f5dc2d721c63f7284c1d4")
+
+
+# (kind, field, value, why): the first trajectory row of a gsemo run on
+# the benchmark kind at n=8, with its field-th field set to value, is
+# rejected with the error why (None: the bounds that every kind shares)
+IMPOSSIBLE_FIELDS = [
+    # front_covered
+    ("omm", -1, "0.31", None), ("omm", -1, "-0.5", None),
+    ("omm", -1, repr(-1 / 9), None),
+    ("omm", -1, "inf", "cannot convert float infinity to integer"),
+    ("omm", -1, "nan", "cannot convert float NaN to integer"),
+    ("omm", -1, repr(2 / 9), None),
+    ("omm", 2, "0", None), ("omm", 2, "-2", None),  # pop_size
+    ("omm", 2, "10", None),
+    ("omm", 5, "-1", None), ("omm", 5, "5", None),  # d_pf
+    # max_g1 and z_count
+    ("omm", 3, "2", "max_g1 and z_count must be empty on omm"),
+    ("omm", 4, "1", "max_g1 and z_count must be empty on omm"),
+    ("omm", 3, "-1", "max_g1 and z_count must be empty on omm"),
+    ("omm", 4, "-1", "max_g1 and z_count must be empty on omm"),
+    ("cocz", 3, "", "impossible fields: need 0 <= max_g1 <= 4 and 1 <= "
+                    "z_count <= pop_size on cocz"),
+    ("cocz", 4, "", "impossible fields: need 0 <= max_g1 <= 4"),
+    ("cocz", 3, "5", "impossible fields: need 0 <= max_g1 <= 4"),
+    ("cocz", 3, "-1", "impossible fields: need 0 <= max_g1 <= 4"),
+    ("cocz", 4, "0", "impossible fields: need 0 <= max_g1 <= 4"),
+    ("cocz", 4, "2", "impossible fields: need 0 <= max_g1 <= 4")]
+# an omm case is named by its field, value and why alone
+IMPOSSIBLE_FIELDS_IDS = [
+    ("" if kind == "omm" else f"{kind}-") + "-".join(map(str, case))
+    for kind, *case in IMPOSSIBLE_FIELDS]
 
 
 def write_csvs(results, directory):
@@ -770,12 +793,12 @@ class TestCsvPipeline:
                                 interior_init=config.interior_init) == results
             assert load_results(trials) == load_results(trials)
 
-    def omm_csvs(self, tmp_path):
-        config = ExperimentConfig("omm", "gsemo", "original", (8,), 2, 0)
+    def csvs(self, tmp_path, kind="omm"):
+        config = ExperimentConfig(kind, "gsemo", "original", (8,), 2, 0)
         return write_csvs(run_grid(config), tmp_path)
 
     def test_bad_trajectory_header_rejected(self, tmp_path):
-        trials, trajs = self.omm_csvs(tmp_path)
+        trials, trajs = self.csvs(tmp_path)
         trajs.write_bytes(trajs.read_bytes().replace(b"d_pf", b"dpf", 1))
         with pytest.raises(ValueError, match="header"):
             load_results(trials, trajs)
@@ -784,14 +807,14 @@ class TestCsvPipeline:
             load_results(trials, trajs)
 
     def test_unknown_trial_id_rejected(self, tmp_path):
-        trials, trajs = self.omm_csvs(tmp_path)
+        trials, trajs = self.csvs(tmp_path)
         with open(trajs, "ab") as fh:
             fh.write(b"omm-n8-gsemo-original-s1,0,1,,,4,0.1\r\n")
         with pytest.raises(ValueError, match="unknown trial id"):
             load_results(trials, trajs)
 
     def test_short_trials_row_rejected(self, tmp_path):
-        trials, _ = self.omm_csvs(tmp_path)
+        trials, _ = self.csvs(tmp_path)
         with open(trials, "a") as fh:
             fh.write("omm,8,,gsemo,original,5\n")
         with pytest.raises(ValueError,
@@ -801,7 +824,7 @@ class TestCsvPipeline:
     @pytest.mark.parametrize("flag", ["7", "01", "", "true"])
     def test_censored_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
         # the writer writes int(censored), so any other value is corrupt
-        trials, _ = self.omm_csvs(tmp_path)
+        trials, _ = self.csvs(tmp_path)
         header, row, *rest = trials.read_text().splitlines(keepends=True)
         fields = row.rstrip("\r\n").split(",")
         fields[-1] = flag
@@ -818,7 +841,7 @@ class TestCsvPipeline:
     ])
     def test_impossible_runtimes_rejected(self, tmp_path, evals, iters):
         # a run of t iterations makes t + 1 - idle evaluations, idle <= t
-        trials, _ = self.omm_csvs(tmp_path)
+        trials, _ = self.csvs(tmp_path)
         header, row, *rest = trials.read_text().splitlines(keepends=True)
         fields = row.rstrip("\r\n").split(",")
         fields[6:8] = evals, iters
@@ -841,7 +864,7 @@ class TestCsvPipeline:
     def test_cells_that_no_run_makes_rejected(self, tmp_path, cell, why):
         # benchmark, n, k, algorithm and variant must name a cell that a
         # config can ask for
-        trials, _ = self.omm_csvs(tmp_path)
+        trials, _ = self.csvs(tmp_path)
         header, row, *rest = trials.read_text().splitlines(keepends=True)
         fields = row.rstrip("\r\n").split(",")
         fields[:len(cell)] = cell
@@ -849,23 +872,23 @@ class TestCsvPipeline:
         with pytest.raises(ValueError, match=rf"trials\.csv:3: {why}"):
             load_results(trials)
 
-    @pytest.mark.parametrize("field,value,why", [
-        # front_covered
-        (-1, "0.31", None), (-1, "-0.5", None), (-1, repr(-1 / 9), None),
-        (-1, "inf", "cannot convert float infinity to integer"),
-        (-1, "nan", "cannot convert float NaN to integer"),
-        (2, "0", None), (2, "-2", None),  # pop_size
-        (5, "-1", None)])  # d_pf
-    def test_impossible_trajectory_fields_rejected(self, tmp_path, field,
-                                                   value, why):
-        # omm n=8 has 9 front values: front_covered must be covered / 9 for
-        # a count covered >= 0 (0.31 is no such fraction, though it rounds
-        # to 3 of 9, and -1/9 is one for a negative count), pop_size at
-        # least 1 and d_pf at least 0
-        why = why or (r"impossible fields: need pop_size >= 1, d_pf >= 0 "
-                      r"and front_covered = covered / 9 for a count "
-                      r"covered >= 0")
-        trials, trajs = self.omm_csvs(tmp_path)
+    @pytest.mark.parametrize("kind,field,value,why", IMPOSSIBLE_FIELDS,
+                             ids=IMPOSSIBLE_FIELDS_IDS)
+    def test_impossible_trajectory_fields_rejected(self, tmp_path, kind,
+                                                   field, value, why):
+        # omm n=8 has 9 front values and 9 slots over a span of 8:
+        # front_covered must be covered / 9 for a count 0 <= covered <=
+        # min(pop_size, 9) (0.31 is no such fraction, though it rounds to 3
+        # of 9, -1/9 is one for a negative count and 2/9 one for more than
+        # the one member of t=0), 1 <= pop_size <= 9 and 0 <= d_pf <= 4;
+        # max_g1 and z_count are empty off cocz, where the writer writes
+        # None, and -1 is how no run writes None. On cocz n=8 they are set,
+        # 0 <= max_g1 <= 4 and 1 <= z_count <= pop_size
+        why = why or re.escape(
+            "impossible fields: need 1 <= pop_size <= 9, 0 <= d_pf <= 4 and "
+            "front_covered = covered / 9 for a count 0 <= covered <= "
+            "min(pop_size, 9)")
+        trials, trajs = self.csvs(tmp_path, kind)
         header, row, *rest = trajs.read_bytes().split(b"\r\n")
         fields = row.split(b",")
         fields[field] = value.encode()
@@ -877,7 +900,7 @@ class TestCsvPipeline:
                                              ("8", "7")])
     def test_extreme_possible_runtimes_load(self, tmp_path, evals, iters):
         # every offspring idle, and no draw idle
-        trials, _ = self.omm_csvs(tmp_path)
+        trials, _ = self.csvs(tmp_path)
         header, row, *rest = trials.read_text().splitlines(keepends=True)
         fields = row.rstrip("\r\n").split(",")
         fields[6:8] = evals, iters
@@ -887,7 +910,7 @@ class TestCsvPipeline:
             int(evals), int(iters))
 
     def test_repeated_trial_id_rejected(self, tmp_path):
-        trials, trajs = self.omm_csvs(tmp_path)
+        trials, trajs = self.csvs(tmp_path)
         lines = trials.read_text().splitlines(keepends=True)
         trials.write_text("".join(lines + lines[1:2]))
         with pytest.raises(ValueError, match=r"trials\.csv:4: repeated trial "
@@ -905,7 +928,7 @@ class TestCsvPipeline:
         "{tid},6,2,,,3.5,0.25",
     ])
     def test_malformed_trajectory_row_names_line(self, tmp_path, row):
-        trials, trajs = self.omm_csvs(tmp_path)
+        trials, trajs = self.csvs(tmp_path)
         lines = trajs.read_bytes().split(b"\r\n")
         tid = lines[1].split(b",")[0].decode()
         lines.insert(3, row.format(tid=tid).encode())
@@ -914,7 +937,7 @@ class TestCsvPipeline:
             load_results(trials, trajs)
 
     def test_blank_trajectory_lines_skipped(self, tmp_path):
-        trials, trajs = self.omm_csvs(tmp_path)
+        trials, trajs = self.csvs(tmp_path)
         expected = [r.trajectory for r in load_results(trials, trajs)]
         data = trajs.read_bytes()
         trajs.write_bytes(data.replace(b"\r\n", b"\r\n\r\n", 3) + b"\n\n")
@@ -922,7 +945,7 @@ class TestCsvPipeline:
 
     def test_trajectory_rows_in_blocks_rejected(self, tmp_path):
         # a trial's rows are contiguous, as the writer writes them
-        trials, trajs = self.omm_csvs(tmp_path)
+        trials, trajs = self.csvs(tmp_path)
         header, *rows = trajs.read_bytes().split(b"\r\n")[:-1]
         tid = rows[0].split(b",")[0]
         first = [row for row in rows if row.split(b",")[0] == tid]
@@ -945,7 +968,7 @@ class TestCsvPipeline:
         # a trial's rows strictly increase in t, as the writer writes them: a
         # repeated t, with the same fields or others, and a t that goes back
         # are rejected, not sorted or merged
-        trials, trajs = self.omm_csvs(tmp_path)
+        trials, trajs = self.csvs(tmp_path)
         header, *rows = trajs.read_bytes().split(b"\r\n")[:-1]
         fields = [row.split(b",") for row in rows]
         tid = fields[0][0]
@@ -977,7 +1000,7 @@ class TestCsvPipeline:
         # a file cut after whole rows: the last trial's rows end before its
         # runtime_iters, or it has none left; a file cut before whole rows:
         # the first trial's rows start after t=0
-        trials, trajs = self.omm_csvs(tmp_path)
+        trials, trajs = self.csvs(tmp_path)
         header, *rows = trajs.read_bytes().split(b"\r\n")[:-1]
         last = rows[-1].split(b",")[0]
         tid = last.decode()
@@ -1020,7 +1043,7 @@ class TestCsvPipeline:
         write_trials_csv(results, trials)
         trajs.write_text(
             "trial_id,t,pop_size,max_g1,z_count,d_pf,front_covered\n"
-            + "".join(f"{trial_id(r)},{t},3,,,2,0.5\n"
+            + "".join(f"{trial_id(r)},{t},10,,,2,0.5\n"
                       for r in results for t in (0, 1)))
         a, b = load_results(trials, trajs)
         assert [rec.covered for rec in a.trajectory] == [5, 5]
@@ -1053,8 +1076,8 @@ class TestCsvPipeline:
         config = ExperimentConfig("ojzj", "gsemo", "original",
                                   (12, 16, 20, 24), 4, 0, ks=(2,),
                                   record_trajectories=False)
-        report = check_lower_bound_runtime(results, config, epsilon=0.05)
-        gate, fit = check_scaling_exponent(results, config, window=(2.6, 3.5))
+        report = check_lower_bound_runtime(results, config)
+        gate, fit = check_scaling_exponent(results, config)
         out = tmp_path / "report.csv"
         write_report_csv([report, gate], [fit], out)
         text = out.read_text().splitlines()
