@@ -598,10 +598,10 @@ FRONT_SIZE = SYNTHETIC.front_size
 
 
 def change_points(*points):
-    """Synthetic change points of ``SYNTHETIC`` from (t, covered) pairs, in
-    which covered grows by at most one per point from at most 1; pop_size
-    and d_pf differ between two points, so a record taken from the wrong
-    one shows."""
+    """Synthetic change points of ``SYNTHETIC`` from (t, covered) pairs.
+    The i-th point holds i + 1 members, so covered may start at 1 and grow
+    by one per point; pop_size and d_pf differ between two points, so a
+    record taken from the wrong one shows."""
     return [engine.TrajectoryRecord(t, i + 1, None, None, 59 - i, covered,
                                     covered / FRONT_SIZE)
             for i, (t, covered) in enumerate(points)]
